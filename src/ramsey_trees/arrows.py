@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick
-from .embedding import CopyRef, enumerate_copies, induced_subtree
+from .embedding import CopyRef, enumerate_copies
 from .coloring import Coloring, find_mono_copy, is_mono
 
 
@@ -51,24 +52,38 @@ class ArrowVerdict:
 
 
 def _arrow_edges(
-    host: PlaneTree, target: PlaneTree, pattern: PlaneTree
+    host: PlaneTree,
+    target: PlaneTree,
+    pattern: PlaneTree,
+    expired: Callable[[], bool] = lambda: False,
 ) -> tuple[list[CopyRef], list[tuple[int, ...]] | None]:
     """Variables (P-copies) and NAE constraints (inner P-copies per H-copy).
 
-    Returns (variables, edges); edges is None when some H-copy has at most
-    one inner P-copy, which makes the arrow hold under every coloring.
+    Every H-copy induces a tree isomorphic to target, so its inner P-copies
+    are enumerate_copies(target, pattern) relabeled through the H-copy's
+    leaves; that template is enumerated once and mapped through each copy.
+    Returns (variables, edges); edges is None when the template has at most
+    one copy and some H-copy exists, which makes the arrow hold under every
+    coloring. expired is polled every 1024 H-copies; when it returns True,
+    BudgetExhaustedError is raised.
     """
     variables = enumerate_copies(host, pattern)
+    h_copies = enumerate_copies(host, target)
+    if not h_copies:
+        # a target with no copies may be larger than the host: its template
+        # is not needed and could exceed the enumeration cap
+        return variables, []
+    template = enumerate_copies(target, pattern)
+    if len(template) <= 1:
+        return variables, None
     var_index = {c: i for i, c in enumerate(variables)}
     edges: set[tuple[int, ...]] = set()
-    for hc in enumerate_copies(host, target):
-        sub = induced_subtree(host, hc)
-        inner = [
-            tuple(hc[i] for i in rel) for rel in enumerate_copies(sub, pattern)
-        ]
-        if len(inner) <= 1:
-            return variables, None
-        edges.add(tuple(sorted(var_index[c] for c in inner)))
+    for n, hc in enumerate(h_copies):
+        if not n & 1023 and expired():
+            raise BudgetExhaustedError("time budget ran out during constraint construction")
+        # relabeling through the increasing hc keeps lexicographic order, so
+        # the variable indices come out sorted
+        edges.add(tuple([var_index[tuple([hc[i] for i in rel])] for rel in template]))
     return variables, sorted(edges)
 
 
@@ -85,7 +100,9 @@ def check_arrow(
     constraint degree, ties by lexicographic copy order), colors in
     increasing order, and the first variable is pinned to color 0 (sound by
     color-permutation symmetry). The witness of a Fails verdict is the first
-    bad coloring that order encounters.
+    bad coloring that order encounters. The time budget covers constraint
+    construction too: running out before the search starts gives Unknown
+    with 0 nodes.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"number of colors must be a positive integer, got {k!r}")
@@ -95,7 +112,15 @@ def check_arrow(
     def elapsed_ms() -> int:
         return int((time.monotonic() - t0) * 1000)
 
-    variables, edges = _arrow_edges(host, target, pattern)
+    def expired() -> bool:
+        return elapsed_ms() > budget.max_millis
+
+    try:
+        variables, edges = _arrow_edges(host, target, pattern, expired)
+    except BudgetExhaustedError:
+        return ArrowVerdict("unknown", None, 0, elapsed_ms())
+    if expired():
+        return ArrowVerdict("unknown", None, 0, elapsed_ms())
     m = len(variables)
     if edges is None:
         return ArrowVerdict("holds", None, 0, elapsed_ms())
@@ -183,7 +208,7 @@ def check_arrow(
             status = "unknown"
             nodes -= 1
             break
-        if not nodes & 1023 and elapsed_ms() > budget.max_millis:
+        if not nodes & 1023 and expired():
             status = "unknown"
             break
         fr[2] = len(trail)
@@ -199,7 +224,8 @@ def check_arrow(
     if status == "fails":
         assignment = {variables[i]: color_of[i] for i in range(m)}
         for e in edges:
-            assert len({color_of[v] for v in e}) > 1
+            if len({color_of[v] for v in e}) <= 1:
+                raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
         witness = Coloring(host, pattern, k, assignment)
         return ArrowVerdict("fails", witness, nodes, elapsed_ms())
     if status == "unknown":
@@ -217,17 +243,18 @@ def min_arrow_height_scan(
     """Scan d = height(target), height(target)+1, ... for the least d with
     perfect_tree(d) -> (target)^pattern_k; returns (d or None, scan trail).
 
-    The scan stops without an answer when a verdict comes back unknown, when
-    perfect_tree(d) would exceed the tree size guard, or past max_height.
+    The scan stops without an answer, returning the trail so far, when a
+    verdict comes back unknown, when perfect_tree(d) would exceed the tree
+    size guard, when deciding height d would exceed the enumeration cap, or
+    past max_height.
     """
     scan: list[tuple[int, ArrowVerdict]] = []
     d = target.height
     while max_height is None or d <= max_height:
         try:
-            host = perfect_tree(d)
+            verdict = check_arrow(perfect_tree(d), target, pattern, k, budget)
         except ResourceLimitError:
             return None, scan
-        verdict = check_arrow(host, target, pattern, k, budget)
         scan.append((d, verdict))
         if verdict.status == "holds":
             return d, scan
@@ -287,7 +314,8 @@ def extract_mono_leafcolor(
     while True:
         window = colors[lo:hi]
         if level == 1:
-            assert len(set(window)) == 1
+            if len(set(window)) != 1:
+                raise RuntimeError("internal error: block descent ended on a mixed window")
             return tuple(range(lo, hi)), window[0]
         block = (hi - lo) // n
         descend = None
@@ -423,5 +451,6 @@ def extract_mono_k(chain: ReductionChain, chi: Coloring) -> tuple[CopyRef, int]:
             )
         region = found[0]
     color = is_mono(chi, region)
-    assert color is not None
+    if color is None:
+        raise RuntimeError("internal error: bitwise descent ended on a mixed region")
     return region, color

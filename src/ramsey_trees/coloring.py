@@ -29,7 +29,7 @@ class Coloring:
     assignment: dict[CopyRef, int] = field(compare=True)
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
             raise ValueError(f"number of colors must be a positive integer, got {self.k!r}")
         copies = enumerate_copies(self.host, self.pattern)
         given = self.assignment
@@ -124,17 +124,26 @@ def find_mono_copy(
     """Lexicographically least monochromatic copy of target (with its color).
 
     When region is given, only copies whose leaves lie inside it are
-    considered. Returns None if no copy of target is monochromatic.
+    considered. The pattern-copies inside a candidate are
+    enumerate_copies(target, chi.pattern) relabeled through its leaves, so
+    that template is enumerated once and each candidate's colors are looked
+    up directly; the color is -1 when the template is empty, as in is_mono.
+    Returns None if no copy of target is monochromatic.
     """
     region_set = None
     if region is not None:
         region_set = set(validate_copy(chi.host, region))
-    for cand in enumerate_copies(chi.host, target):
+    candidates = enumerate_copies(chi.host, target)
+    if not candidates:  # no template needed, as in arrows._arrow_edges
+        return None
+    template = enumerate_copies(target, chi.pattern)
+    assignment = chi.assignment
+    for cand in candidates:
         if region_set is not None and not region_set.issuperset(cand):
             continue
-        color = is_mono(chi, cand)
-        if color is not None:
-            return cand, color
+        colors = {assignment[tuple([cand[i] for i in rel])] for rel in template}
+        if len(colors) <= 1:
+            return cand, colors.pop() if colors else -1
     return None
 
 
@@ -211,12 +220,15 @@ def find_psi_mono(
     region = validate_copy(chi.host, region)
     partner = validate_copy(chi.host, partner)
     images = _psi_images(chi, region, partner, side)
+    own_pattern = chi.pattern.left if side == "left" else chi.pattern.right
     region_set = set(region)
-    for cand in enumerate_copies(chi.host, target):
-        if not region_set.issuperset(cand):
-            continue
-        cand_set = set(cand)
-        inner = [img for own, img in images.items() if cand_set.issuperset(own)]
+    candidates = [c for c in enumerate_copies(chi.host, target) if region_set.issuperset(c)]
+    if not candidates:
+        return None
+    # the child-copies inside a candidate: one template relabeled per candidate
+    template = enumerate_copies(target, own_pattern)
+    for cand in candidates:
+        inner = [images[tuple([cand[i] for i in rel])] for rel in template]
         if all(img == inner[0] for img in inner[1:]):
             return cand
     return None

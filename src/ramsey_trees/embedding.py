@@ -243,8 +243,9 @@ def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
     def combine(t: PlaneTree, in_l, in_r, cr_l, cr_r) -> tuple:
         nl = t.left.leaf_count
         items = list(in_l)
-        items.extend(tuple(x + nl for x in c) for c in in_r)
-        items.extend(lc + tuple(x + nl for x in rc) for lc in cr_l for rc in cr_r)
+        items.extend([tuple([x + nl for x in c]) for c in in_r])
+        shifted = [tuple([x + nl for x in rc]) for rc in cr_r]
+        items.extend([lc + rc for lc in cr_l for rc in shifted])
         items.sort()
         return charge(items)
 

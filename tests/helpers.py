@@ -76,23 +76,59 @@ def all_colorings(k: int, m: int) -> np.ndarray:
     return np.stack(cols, axis=1).astype(np.int8)
 
 
+def brute_arrow_edges(host: PlaneTree, target: PlaneTree, pattern: PlaneTree):
+    """(variables, sorted distinct NAE edges) of the arrow problem by subset
+    inclusion: an edge lists the indices of the pattern-copies inside one
+    target-copy. Edges is None when some target-copy holds at most one."""
+    variables = brute_copies(host, pattern)
+    edges = set()
+    for hc in brute_copies(host, target):
+        hc_set = set(hc)
+        edge = tuple(i for i, c in enumerate(variables) if hc_set.issuperset(c))
+        if len(edge) <= 1:
+            return variables, None
+        edges.add(edge)
+    return variables, sorted(edges)
+
+
 def brute_arrow_status(host: PlaneTree, target: PlaneTree, pattern: PlaneTree, k: int) -> str:
     """Definitional arrow check: exhaust all k**m colorings of the
     pattern-copies; 'holds' iff each admits a monochromatic target-copy
     (copies with at most one inner pattern-copy are monochromatic)."""
-    variables = brute_copies(host, pattern)
-    index = {c: i for i, c in enumerate(variables)}
+    variables, edges = brute_arrow_edges(host, target, pattern)
+    if edges is None:
+        return "holds"
     table = all_colorings(k, len(variables))
     any_mono = np.zeros(len(table), dtype=bool)
-    for hc in brute_copies(host, target):
-        hc_set = set(hc)
-        edge = [index[c] for c in variables if hc_set.issuperset(c)]
-        if len(edge) <= 1:
-            any_mono[:] = True
-        else:
-            sub = table[:, edge]
-            any_mono |= (sub == sub[:, :1]).all(axis=1)
+    for edge in edges:
+        sub = table[:, list(edge)]
+        any_mono |= (sub == sub[:, :1]).all(axis=1)
     return "holds" if bool(any_mono.all()) else "fails"
+
+
+def brute_psi_mono(chi, region, target: PlaneTree, side: str, partner):
+    """Least copy of target inside region whose pattern-child copies all have
+    the same fusion image against partner, by filtering every image; the
+    image of a child-copy maps each partner-side copy to the color of the
+    join. None if no copy qualifies."""
+    region_set, partner_set = set(region), set(partner)
+    own, other = chi.pattern.left, chi.pattern.right
+    if side != "left":
+        own, other = other, own
+    partner_copies = [
+        c for c in brute_copies(chi.host, other) if partner_set.issuperset(c)
+    ]
+    images = {}
+    for oc in brute_copies(chi.host, own):
+        if region_set.issuperset(oc):
+            joins = [oc + pc if side == "left" else pc + oc for pc in partner_copies]
+            images[oc] = tuple(chi.assignment[j] for j in joins)
+    for cand in brute_copies(chi.host, target):
+        if region_set.issuperset(cand):
+            inner = {img for oc, img in images.items() if set(cand).issuperset(oc)}
+            if len(inner) <= 1:
+                return cand
+    return None
 
 
 def check_witness(host: PlaneTree, target: PlaneTree, witness) -> bool:

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -25,9 +27,12 @@ from ramsey_trees import (
     parse_newick,
     perfect_tree,
     prop21_witness,
+    set_max_enumeration,
     set_max_leaves,
 )
-from helpers import brute_arrow_status, check_witness
+from ramsey_trees import arrows
+from ramsey_trees.arrows import _arrow_edges
+from helpers import brute_arrow_edges, brute_arrow_status, check_witness
 
 CHERRY = parse_newick("(,)")
 CAT3 = parse_newick("((,),)")
@@ -101,6 +106,35 @@ def test_check_arrow_budget_exhaustion():
     assert v.nodes == 0
 
 
+def test_arrow_edges_match_subset_oracle():
+    hosts = [t for n in range(1, 7) for t in all_trees(n)] + [perfect_tree(3)]
+    targets = [t for n in range(1, 5) for t in all_trees(n)]
+    patterns = [t for n in range(1, 4) for t in all_trees(n)]
+    for host in hosts:
+        for target in targets:
+            for pattern in patterns:
+                expected = brute_arrow_edges(host, target, pattern)
+                assert _arrow_edges(host, target, pattern) == expected, (host, target, pattern)
+
+
+def test_check_arrow_budget_covers_construction():
+    # 278,256 H-copies: the time budget runs out while the constraints are
+    # still being built, before the search has taken a node.
+    start = time.monotonic()
+    v = check_arrow(perfect_tree(6), perfect_tree(2), CHERRY, 2, SearchBudget(max_millis=10))
+    assert time.monotonic() - start < 1.0
+    assert v.status == "unknown"
+    assert v.witness is None
+    assert v.nodes == 0
+
+
+def test_arrows_has_no_assert():
+    # Witness checks must keep running under python -O.
+    with open(arrows.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
 def test_min_arrow_height_frozen_values():
     assert min_arrow_height(CHERRY, leaf(), 2) == 2
     assert min_arrow_height(CHERRY, leaf(), 4) == 3
@@ -135,6 +169,14 @@ def test_min_arrow_height_respects_tree_size_guard():
     assert d is None
     assert [h for h, _ in scan] == [2, 3]
     assert all(v.status == "fails" for _, v in scan)
+
+
+def test_min_arrow_height_stops_at_enumeration_cap():
+    # Deciding height 4 enumerates more copies than the cap allows.
+    set_max_enumeration(500)
+    d, scan = min_arrow_height_scan(perfect_tree(2), leaf(), 2)
+    assert d is None
+    assert [(h, v.status) for h, v in scan] == [(2, "fails"), (3, "fails")]
 
 
 def test_prop21_witness():

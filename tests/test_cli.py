@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ramsey_trees import Coloring, iterate, parse_newick, perfect_tree
+from ramsey_trees import Coloring, iterate, parse_newick, perfect_tree, set_max_enumeration
 from ramsey_trees.cli import main
 
 CAT3 = "((,),)"
@@ -148,6 +148,20 @@ def test_min_height_capped_is_resource_exit(capsys):
     obj = json.loads(out)
     assert obj["height"] is None
     assert [e["verdict"] for e in obj["scan"]] == ["fails"]
+
+
+def test_enumeration_cap_mid_scan_is_resource_exit(capsys):
+    # The third link of the 8-color chain needs a perfect host past P4 whose
+    # copies of P4 exceed the default enumeration cap.
+    rc, out, err = run(capsys, "chain", "(,)", "", "8")
+    assert rc == 2 and out == ""
+    assert "could not certify chain link 3" in err
+    set_max_enumeration(500)
+    rc, out, _ = run(capsys, "min-height", "((,),(,))", "", "2")
+    assert rc == 2
+    obj = json.loads(out)
+    assert obj["height"] is None
+    assert [(e["height"], e["verdict"]) for e in obj["scan"]] == [(2, "fails"), (3, "fails")]
 
 
 def test_find_bad(capsys):

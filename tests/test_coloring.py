@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
 from ramsey_trees import (
     Coloring,
     FormatError,
+    all_trees,
     find_mono_copy,
     find_psi_mono,
     is_mono,
@@ -13,6 +15,7 @@ from ramsey_trees import (
     perfect_tree,
     psi_map,
 )
+from helpers import brute_copies, brute_psi_mono
 
 CHERRY = parse_newick("(,)")
 
@@ -43,8 +46,9 @@ def test_constructor_checks_colors_and_k():
         broken[(0, 1)] = bad
         with pytest.raises(ValueError, match="color of copy"):
             Coloring(t2, CHERRY, 2, broken)
-    with pytest.raises(ValueError, match="positive integer"):
-        Coloring(t2, CHERRY, 0, full)
+    for bad_k in (0, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            Coloring(t2, CHERRY, bad_k, full)
 
 
 def test_assignment_is_canonically_ordered():
@@ -86,6 +90,56 @@ def test_find_mono_copy():
     chi2 = leafchi([0, 0, 1, 0])
     assert find_mono_copy(chi2, CHERRY) == ((0, 1), 0)
     assert find_mono_copy(chi2, parse_newick("((,),)")) == ((0, 1, 3), 0)
+
+
+def _random_coloring(rng, host, pattern, k):
+    return Coloring(host, pattern, k, {c: rng.randrange(k) for c in brute_copies(host, pattern)})
+
+
+def _scan_mono(chi, target, region):
+    for cand in brute_copies(chi.host, target):
+        if region is None or set(region).issuperset(cand):
+            color = is_mono(chi, cand)
+            if color is not None:
+                return cand, color
+    return None
+
+
+def test_find_mono_copy_matches_scan_oracle():
+    rng = random.Random(20261017)
+    hosts = [t for n in range(3, 6) for t in all_trees(n)] + [perfect_tree(3)]
+    targets = [t for n in range(1, 5) for t in all_trees(n)]
+    patterns = [t for n in range(1, 4) for t in all_trees(n)]
+    for host in hosts:
+        for pattern in patterns:
+            for k in (1, 2, 3):
+                chi = _random_coloring(rng, host, pattern, k)
+                n = host.leaf_count
+                region = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+                for target in targets:
+                    for reg in (None, region):
+                        expected = _scan_mono(chi, target, reg)
+                        assert find_mono_copy(chi, target, region=reg) == expected
+
+
+def test_find_psi_mono_matches_image_filter_oracle():
+    rng = random.Random(1017)
+    hosts = [t for n in range(2, 6) for t in all_trees(n)] + [perfect_tree(3)]
+    targets = [t for n in range(1, 5) for t in all_trees(n)]
+    patterns = [t for n in range(2, 4) for t in all_trees(n)]
+    for host in hosts:
+        nl = host.left.leaf_count
+        left, right = range(nl), range(nl, host.leaf_count)
+        for pattern in patterns:
+            chi = _random_coloring(rng, host, pattern, 2)
+            for _ in range(2):
+                a = tuple(sorted(rng.sample(left, rng.randrange(1, len(left) + 1))))
+                b = tuple(sorted(rng.sample(right, rng.randrange(1, len(right) + 1))))
+                for target in targets:
+                    for side, region, partner in (("left", a, b), ("right", b, a)):
+                        expected = brute_psi_mono(chi, region, target, side, partner)
+                        got = find_psi_mono(chi, region, target, side, partner)
+                        assert got == expected, (host, pattern, target, side, region, partner)
 
 
 def test_psi_map_frozen_example():
