@@ -6,8 +6,9 @@ The arrow relation T -> (H)^P_k and the backtracking decision procedure
 T -> (H)^P_k means: every k-coloring of the copies of P in T contains a
 copy of H all of whose inner P-copies got the same color. check_arrow
 decides it by searching for a counterexample ("bad") coloring with
-not-all-equal constraint propagation; a Fails verdict carries the bad
-coloring as a checkable witness.
+not-all-equal constraint propagation; when P is a single leaf it uses a
+dynamic program over the host's subtrees instead. A Fails verdict carries
+the bad coloring as a checkable witness.
 """
 
 import json
@@ -32,7 +33,9 @@ print("bad coloring:", json.dumps(v.witness.to_json_obj()))
 # Four leaves, two colors: pigeonhole forces a repeated color, and any two
 # equal-colored leaves form a monochromatic cherry.
 v = check_arrow(perfect_tree(2), cherry, leaf(), 2)
-print("T(2) -> (cherry)^leaf_2:", v.status, f"({v.nodes} search nodes)")
+# A single-leaf pattern is decided by the subtree dynamic program; its
+# nodes count the distinct per-color states it recorded, not search steps.
+print("T(2) -> (cherry)^leaf_2:", v.status, f"({v.nodes} subtree states)")
 
 # A substantial instance: copies of the cherry pattern are colored, and we
 # ask for a height-2 perfect tree all of whose 6 cherries agree.

@@ -5,7 +5,9 @@ in T admit a copy of H all of whose inner P-copies share one color? The
 negation is a constraint problem: one variable per P-copy, domain 0..k-1,
 and a not-all-equal constraint per H-copy; a solution is a "bad" coloring
 and the arrow Fails, exhaustion means it Holds, and exceeding the search
-budget yields Unknown.
+budget yields Unknown. When P is a single leaf the colorings are leaf
+colorings, and a dynamic program over host subtrees decides the arrow
+without building the constraints.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick
-from .embedding import CopyRef, enumerate_copies
+from .embedding import CopyRef, count_copies, enumerate_copies, induced_subtree
 from .coloring import Coloring, find_mono_copy, is_mono
 
 
@@ -96,17 +98,22 @@ def check_arrow(
 ) -> ArrowVerdict:
     """Decide host -> (target)^pattern_k within a node/time budget.
 
-    Deterministic: variables are tried most-constrained first (descending
-    constraint degree, ties by lexicographic copy order), colors in
-    increasing order, and the first variable is pinned to color 0 (sound by
-    color-permutation symmetry). The witness of a Fails verdict is the first
-    bad coloring that order encounters. The time budget covers constraint
-    construction too: running out before the search starts gives Unknown
-    with 0 nodes.
+    A single-leaf pattern makes the question one about leaf colorings; it is
+    decided exactly by a dynamic program over host subtrees (_leaf_arrow).
+    Every other pattern goes to the constraint search (_search_arrow). Both
+    are deterministic, verify every witness they return, and answer Unknown
+    when the budget runs out.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"number of colors must be a positive integer, got {k!r}")
     budget = budget or DEFAULT_BUDGET
+    if pattern.is_leaf:
+        return _leaf_arrow(host, target, pattern, k, budget)
+    return _search_arrow(host, target, pattern, k, budget)
+
+
+def _clock(budget: SearchBudget) -> tuple[Callable[[], int], Callable[[], bool]]:
+    """(elapsed_ms, expired) measured from now against budget.max_millis."""
     t0 = time.monotonic()
 
     def elapsed_ms() -> int:
@@ -115,6 +122,27 @@ def check_arrow(
     def expired() -> bool:
         return elapsed_ms() > budget.max_millis
 
+    return elapsed_ms, expired
+
+
+def _search_arrow(
+    host: PlaneTree,
+    target: PlaneTree,
+    pattern: PlaneTree,
+    k: int,
+    budget: SearchBudget,
+) -> ArrowVerdict:
+    """Backtracking over the NAE constraints of _arrow_edges, for any pattern.
+
+    Variables are tried most-constrained first (descending constraint
+    degree, ties by lexicographic copy order), colors in increasing order,
+    and the first variable is pinned to color 0 (sound by color-permutation
+    symmetry). The witness of a Fails verdict is the first bad coloring that
+    order encounters; a node is one color tried for one variable. The time
+    budget covers constraint construction too: running out before the search
+    starts gives Unknown with 0 nodes.
+    """
+    elapsed_ms, expired = _clock(budget)
     try:
         variables, edges = _arrow_edges(host, target, pattern, expired)
     except BudgetExhaustedError:
@@ -231,6 +259,189 @@ def check_arrow(
     if status == "unknown":
         return ArrowVerdict("unknown", None, nodes, elapsed_ms())
     return ArrowVerdict("holds", None, nodes, elapsed_ms())
+
+
+def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
+    """One bit per distinct subtree shape of target; the leaf shape is bit 0.
+
+    Returns one (shape, left child shape, right child shape) triple of bits
+    per internal shape, and the bit of target's own shape.
+    """
+    index: dict[tuple[int, int], int] = {}
+    shape: dict[int, int] = {}
+    stack = [target]
+    while stack:
+        v = stack[-1]
+        if id(v) in shape:
+            stack.pop()
+        elif v.is_leaf:
+            shape[id(v)] = 0
+            stack.pop()
+        elif id(v.left) not in shape or id(v.right) not in shape:
+            stack.extend((v.left, v.right))
+        else:
+            shape[id(v)] = index.setdefault(
+                (shape[id(v.left)], shape[id(v.right)]), len(index) + 1
+            )
+            stack.pop()
+    splits = [(1 << s, 1 << a, 1 << b) for (a, b), s in index.items()]
+    return splits, 1 << shape[id(target)]
+
+
+def _rearrangements(state: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every distinct ordering of a sorted tuple, in lexicographic order."""
+    out = [state]
+    a = list(state)
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+        out.append(tuple(a))
+
+
+def _leaf_arrow(
+    host: PlaneTree,
+    target: PlaneTree,
+    pattern: PlaneTree,
+    k: int,
+    budget: SearchBudget,
+) -> ArrowVerdict:
+    """Decide host -> (target)^leaf_k by dynamic programming over host subtrees.
+
+    The state of a host subtree under a leaf coloring is a tuple of k
+    bitmasks, one per color, of the target subtree shapes that embed in the
+    leaves of that color. A shape embeds in a vertex's leaves of one color
+    when it embeds in one child's or splits at the vertex, its left child
+    shape into the left child and its right into the right (the split rule
+    of embedding._dp). Colors are interchangeable, so states are kept
+    sorted; a vertex's states combine each pair of child states under every
+    distinct rearrangement of the right one, and a state in which the whole
+    target embeds is dropped. The arrow fails iff the root keeps a state,
+    and the bad coloring is rebuilt from back-pointers, colors numbered by
+    first appearance, and re-verified by counting.
+
+    A node is one distinct state recorded for one host vertex. States are
+    memoized on object identity, so shared subtrees are solved once, and
+    all leaves share one entry. A vertex without states makes the arrow
+    hold at once: every coloring of the host restricts to one of it.
+    """
+    elapsed_ms, expired = _clock(budget)
+    n = host.leaf_count
+    if count_copies(host, target) == 0:
+        witness = Coloring(host, pattern, k, {(i,): 0 for i in range(n)})
+        return ArrowVerdict("fails", witness, 0, elapsed_ms())
+    if target.is_leaf:
+        return ArrowVerdict("holds", None, 0, elapsed_ms())
+    splits, full = _target_splits(target)
+    grown: dict[tuple[int, int], int] = {}
+
+    def combine(left: tuple[int, ...], right: tuple[int, ...]) -> list[int] | None:
+        """Per-color masks of a vertex, None if some color holds the target."""
+        out = []
+        for lm, rm in zip(left, right):
+            m = grown.get((lm, rm))
+            if m is None:
+                m = lm | rm
+                for s, a, b in splits:
+                    if lm & a and rm & b:
+                        m |= s
+                grown[(lm, rm)] = m
+            if m & full:
+                return None
+            out.append(m)
+        return out
+
+    def key(v: PlaneTree) -> int:
+        return 0 if v.is_leaf else id(v)  # id() of a live object is never 0
+
+    # memo[key] maps each state of that vertex to its back-pointer
+    # (left state, right state, rearranged right state); None for the leaf.
+    memo: dict[int, dict[tuple[int, ...], tuple | None]] = {}
+    rearranged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    nodes = 0
+    steps = 0
+    stack = [host]
+    while stack:
+        v = stack[-1]
+        if key(v) in memo:
+            stack.pop()
+            continue
+        if expired():
+            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+        if v.is_leaf:
+            if nodes >= budget.max_nodes:
+                return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+            nodes += 1
+            memo[0] = {(0,) * (k - 1) + (1,): None}
+            stack.pop()
+            continue
+        if key(v.left) not in memo or key(v.right) not in memo:
+            stack.extend((v.left, v.right))
+            continue
+        states: dict[tuple[int, ...], tuple | None] = {}
+        for ls in memo[key(v.left)]:
+            for rs in memo[key(v.right)]:
+                perms = rearranged.get(rs)
+                if perms is None:
+                    perms = rearranged[rs] = _rearrangements(rs)
+                for rp in perms:
+                    steps += 1
+                    if not steps & 1023 and expired():
+                        return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+                    merged = combine(ls, rp)
+                    if merged is None:
+                        continue
+                    s = tuple(sorted(merged))
+                    if s not in states:
+                        if nodes >= budget.max_nodes:
+                            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+                        nodes += 1
+                        states[s] = (ls, rs, rp)
+        if not states:
+            return ArrowVerdict("holds", None, nodes, elapsed_ms())
+        memo[key(v)] = states
+        stack.pop()
+
+    # Rebuild a bad coloring top-down. col[j] is the color given to position
+    # j of the vertex's sorted state.
+    colors = [0] * n
+    walk = [(host, next(iter(memo[key(host)])), list(range(k)), 0)]
+    while walk:
+        v, state, col, lo = walk.pop()
+        if v.is_leaf:
+            colors[lo] = col[k - 1]  # the leaf state's one nonzero mask
+            continue
+        ls, rs, rp = memo[key(v)][state]
+        merged = combine(ls, rp)
+        mcol = [0] * k
+        for j, i in enumerate(sorted(range(k), key=merged.__getitem__)):
+            mcol[i] = col[j]
+        # position i of rp is the first unused position of rs with its mask
+        slots: dict[int, list[int]] = {}
+        for j, m in enumerate(rs):
+            slots.setdefault(m, []).append(j)
+        rcol = [0] * k
+        for i, m in enumerate(rp):
+            rcol[slots[m].pop(0)] = mcol[i]
+        walk.append((v.right, rs, rcol, lo + v.left.leaf_count))
+        walk.append((v.left, ls, mcol, lo))
+    first: dict[int, int] = {}
+    colors = [first.setdefault(c, len(first)) for c in colors]
+    for c in range(len(first)):
+        part = [i for i in range(n) if colors[i] == c]
+        if count_copies(induced_subtree(host, part), target):
+            raise RuntimeError(
+                f"internal error: bad leaf coloring has a copy of the target in color {c}"
+            )
+    witness = Coloring(host, pattern, k, {(i,): c for i, c in enumerate(colors)})
+    return ArrowVerdict("fails", witness, nodes, elapsed_ms())
 
 
 def min_arrow_height_scan(

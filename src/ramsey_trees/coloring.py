@@ -118,6 +118,17 @@ def is_mono(chi: Coloring, region) -> int | None:
     return None
 
 
+def _copies_within(host: PlaneTree, region: CopyRef, target: PlaneTree) -> list[CopyRef]:
+    """The copies of target in host whose leaves lie inside region, in
+    lexicographic order: the copies in the tree region induces, mapped
+    through region (increasing, so the order is kept)."""
+    if len(region) == host.leaf_count:
+        # the host itself keeps its shared subtrees, which enumeration reuses
+        return enumerate_copies(host, target)
+    sub = induced_subtree(host, region)
+    return [tuple([region[i] for i in c]) for c in enumerate_copies(sub, target)]
+
+
 def find_mono_copy(
     chi: Coloring, target: PlaneTree, region: CopyRef | None = None
 ) -> tuple[CopyRef, int] | None:
@@ -130,17 +141,15 @@ def find_mono_copy(
     up directly; the color is -1 when the template is empty, as in is_mono.
     Returns None if no copy of target is monochromatic.
     """
-    region_set = None
-    if region is not None:
-        region_set = set(validate_copy(chi.host, region))
-    candidates = enumerate_copies(chi.host, target)
+    if region is None:
+        candidates = enumerate_copies(chi.host, target)
+    else:
+        candidates = _copies_within(chi.host, validate_copy(chi.host, region), target)
     if not candidates:  # no template needed, as in arrows._arrow_edges
         return None
     template = enumerate_copies(target, chi.pattern)
     assignment = chi.assignment
     for cand in candidates:
-        if region_set is not None and not region_set.issuperset(cand):
-            continue
         colors = {assignment[tuple([cand[i] for i in rel])] for rel in template}
         if len(colors) <= 1:
             return cand, colors.pop() if colors else -1
@@ -221,8 +230,7 @@ def find_psi_mono(
     partner = validate_copy(chi.host, partner)
     images = _psi_images(chi, region, partner, side)
     own_pattern = chi.pattern.left if side == "left" else chi.pattern.right
-    region_set = set(region)
-    candidates = [c for c in enumerate_copies(chi.host, target) if region_set.issuperset(c)]
+    candidates = _copies_within(chi.host, region, target)
     if not candidates:
         return None
     # the child-copies inside a candidate: one template relabeled per candidate

@@ -157,7 +157,8 @@ def induced_subtree(host: PlaneTree, leaves) -> PlaneTree:
             out.append(node(out.pop(), r))
         # equal adjacent separator depths would mean two distinct vertices at
         # the same depth on one root path, which cannot happen in a tree
-        assert not ops or ops[-1] < d
+        if ops and ops[-1] >= d:
+            raise RuntimeError("internal error: separator depths out of order")
         ops.append(d)
         out.append(leaf(labels[s[j]]))
     while ops:

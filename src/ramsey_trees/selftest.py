@@ -160,13 +160,12 @@ def _check_arrows() -> tuple[bool, str]:
 
 
 def _check_min_heights() -> tuple[bool, str]:
-    cherry = perfect_tree(1)
-    single = leaf()
-    got2 = min_arrow_height(cherry, single, 2)
-    got4 = min_arrow_height(cherry, single, 4)
-    if (got2, got4) != (2, 3):
-        return False, f"cherry thresholds came out as {(got2, got4)}, expected (2, 3)"
-    return True, "least arrowing heights for the cherry at k=2 and k=4"
+    # (target height, k) -> least height of a perfect host that arrows it
+    want = {(1, 2): 2, (1, 4): 3, (2, 2): 4, (4, 2): 8}
+    got = {(t, k): min_arrow_height(perfect_tree(t), leaf(), k) for t, k in want}
+    if got != want:
+        return False, f"least heights came out as {got}, expected {want}"
+    return True, "least arrowing heights for the cherry at k=2 and k=4, P2 and P4 at k=2"
 
 
 def _check_extractor() -> tuple[bool, str]:

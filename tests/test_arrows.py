@@ -24,13 +24,14 @@ from ramsey_trees import (
     leaf,
     min_arrow_height,
     min_arrow_height_scan,
+    node,
     parse_newick,
     perfect_tree,
     prop21_witness,
     set_max_enumeration,
     set_max_leaves,
 )
-from ramsey_trees import arrows
+from ramsey_trees import arrows, embedding
 from ramsey_trees.arrows import _arrow_edges
 from helpers import brute_arrow_edges, brute_arrow_status, check_witness
 
@@ -128,17 +129,79 @@ def test_check_arrow_budget_covers_construction():
     assert v.nodes == 0
 
 
+def test_leaf_arrow_matches_search_oracle():
+    # The constraint search decides leaf patterns too and is the oracle here;
+    # on P3 and P4 hosts it may run out of nodes, where nothing is compared.
+    hosts = [t for n in range(1, 8) for t in all_trees(n)] + [perfect_tree(3), perfect_tree(4)]
+    targets = [t for n in range(1, 5) for t in all_trees(n)]
+    budget = SearchBudget(max_nodes=20_000)
+    decided = 0
+    for host in hosts:
+        for target in targets:
+            for k in (1, 2, 3):
+                got = check_arrow(host, target, leaf(), k)
+                assert got.status != "unknown", (host, target, k)
+                want = arrows._search_arrow(host, target, leaf(), k, budget)
+                if want.status != "unknown":
+                    assert got.status == want.status, (host, target, k)
+                    decided += 1
+                if got.status == "fails":
+                    assert check_witness(host, target, got.witness), (host, target, k)
+    # every query on the small hosts, and some on P3 and P4, was compared
+    assert decided > 3 * len(targets) * (len(hosts) - 2)
+
+
+def test_leaf_arrow_budgets():
+    # P4 -> (P2)^leaf_2 records 6 states; every smaller node budget binds.
+    full = check_arrow(perfect_tree(4), perfect_tree(2), leaf(), 2)
+    assert (full.status, full.nodes) == ("holds", 6)
+    for max_nodes in range(6):
+        v = check_arrow(perfect_tree(4), perfect_tree(2), leaf(), 2, SearchBudget(max_nodes=max_nodes))
+        assert (v.status, v.witness, v.nodes) == ("unknown", None, max_nodes)
+
+    def unshared(d):  # a perfect tree whose subtrees are all distinct objects
+        return leaf() if d == 0 else node(unshared(d - 1), unshared(d - 1))
+
+    host = unshared(8)
+    full = check_arrow(host, perfect_tree(4), leaf(), 3)
+    assert full.status == "holds" and full.nodes > 1000
+    v = check_arrow(host, perfect_tree(4), leaf(), 3, SearchBudget(max_millis=5))
+    assert v.status == "unknown" and v.witness is None
+    assert v.nodes < full.nodes
+
+
+def test_leaf_arrow_on_deep_host():
+    # A left spine of 1500 cherries, depth 1500. A color holds a P2 iff some
+    # cherry is all that color and two earlier leaves are too (the split
+    # at that cherry's spine vertex).
+    host = CHERRY
+    for _ in range(1499):
+        host = node(host, CHERRY)
+    v = check_arrow(host, perfect_tree(2), leaf(), 2)
+    assert v.status == "fails"
+    colors = [v.witness.assignment[(i,)] for i in range(host.leaf_count)]
+    for j in range(0, host.leaf_count, 2):
+        if colors[j] == colors[j + 1]:
+            assert colors[:j].count(colors[j]) <= 1, j
+
+
 def test_arrows_has_no_assert():
     # Witness checks must keep running under python -O.
-    with open(arrows.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    for module in (arrows, embedding):
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], module
 
 
 def test_min_arrow_height_frozen_values():
     assert min_arrow_height(CHERRY, leaf(), 2) == 2
     assert min_arrow_height(CHERRY, leaf(), 4) == 3
     assert min_arrow_height(perfect_tree(2), leaf(), 2) == 4
+    # These two agree with a least-height count over Strahler numbers: P(t)
+    # embeds in a leaf set iff the tree the set induces has Strahler number
+    # at least t.
+    assert min_arrow_height(perfect_tree(4), leaf(), 2) == 8
+    assert min_arrow_height(perfect_tree(5), leaf(), 2) == 10
 
 
 def test_min_arrow_height_scan_trail():
@@ -173,8 +236,8 @@ def test_min_arrow_height_respects_tree_size_guard():
 
 def test_min_arrow_height_stops_at_enumeration_cap():
     # Deciding height 4 enumerates more copies than the cap allows.
-    set_max_enumeration(500)
-    d, scan = min_arrow_height_scan(perfect_tree(2), leaf(), 2)
+    set_max_enumeration(100)
+    d, scan = min_arrow_height_scan(CAT3, CHERRY, 2)
     assert d is None
     assert [(h, v.status) for h, v in scan] == [(2, "fails"), (3, "fails")]
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ramsey_trees
 from ramsey_trees import Coloring, iterate, parse_newick, perfect_tree, set_max_enumeration
 from ramsey_trees.cli import main
 
@@ -151,17 +156,29 @@ def test_min_height_capped_is_resource_exit(capsys):
 
 
 def test_enumeration_cap_mid_scan_is_resource_exit(capsys):
-    # The third link of the 8-color chain needs a perfect host past P4 whose
-    # copies of P4 exceed the default enumeration cap.
-    rc, out, err = run(capsys, "chain", "(,)", "", "8")
-    assert rc == 2 and out == ""
-    assert "could not certify chain link 3" in err
-    set_max_enumeration(500)
-    rc, out, _ = run(capsys, "min-height", "((,),(,))", "", "2")
+    # Height 4 has more caterpillar or cherry copies than the cap allows.
+    set_max_enumeration(100)
+    rc, out, _ = run(capsys, "min-height", CAT3, "(,)", "2")
     assert rc == 2
     obj = json.loads(out)
     assert obj["height"] is None
     assert [(e["height"], e["verdict"]) for e in obj["scan"]] == [(2, "fails"), (3, "fails")]
+    rc, out, err = run(capsys, "chain", CAT3, "(,)", "2")
+    assert rc == 2 and out == ""
+    assert "could not certify chain link 1" in err
+
+
+def test_leaf_pattern_scans_enumerate_no_copies(capsys):
+    # Leaf-pattern arrows are decided without listing copies, so neither the
+    # 8-color chain nor a small enumeration cap stops these scans.
+    rc, out, _ = run(capsys, "chain", "(,)", "", "8")
+    assert rc == 0
+    trees = json.loads(out)["trees"]
+    assert [parse_newick(t) for t in trees] == [perfect_tree(d) for d in (1, 2, 4, 8)]
+    set_max_enumeration(500)
+    rc, out, _ = run(capsys, "min-height", "((,),(,))", "", "2")
+    assert rc == 0
+    assert json.loads(out)["height"] == 4
 
 
 def test_find_bad(capsys):
@@ -264,3 +281,18 @@ def test_selftest(capsys):
     assert summary["failed"] == 0
     assert summary["passed"] >= 8
     assert "ok" in err
+
+
+def test_selftest_under_optimize():
+    # python -O strips assert statements; the witness checks must still run.
+    src = str(Path(ramsey_trees.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ramsey_trees.cli", "selftest"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["failed"] == 0
