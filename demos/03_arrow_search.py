@@ -37,10 +37,12 @@ v = check_arrow(perfect_tree(2), cherry, leaf(), 2)
 # nodes count the distinct per-color states it recorded, not search steps.
 print("T(2) -> (cherry)^leaf_2:", v.status, f"({v.nodes} subtree states)")
 
-# A substantial instance: copies of the cherry pattern are colored, and we
-# ask for a height-2 perfect tree all of whose 6 cherries agree.
-v = check_arrow(perfect_tree(4), perfect_tree(2), cherry, 2)
-print("T(4) -> (T(2))^cherry_2:", v.status,
+# A substantial instance: the 120 cherries of T(4) are colored with three
+# colors, and we ask for a caterpillar ((,),) all of whose 3 cherries
+# agree. The search finds a bad coloring after a few thousand nodes.
+caterpillar = parse_newick("((,),)")
+v = check_arrow(perfect_tree(4), caterpillar, cherry, 3)
+print("T(4) -> (((,),))^cherry_3:", v.status,
       f"({v.nodes} nodes, {v.millis} ms)")
 
 # min_arrow_height_scan walks d = height(H), height(H)+1, ... until the
@@ -55,6 +57,6 @@ print("answer:", d)
 # Budgets make the search interruptible rather than open-ended: verdicts
 # degrade to "unknown" instead of hanging. Exit code 2 in the CLI.
 tight = SearchBudget(max_nodes=10, max_millis=1000)
-v = check_arrow(perfect_tree(4), perfect_tree(2), cherry, 2, budget=tight)
+v = check_arrow(perfect_tree(4), caterpillar, cherry, 3, budget=tight)
 print()
 print("same query under a 10-node budget:", v.status)

@@ -330,7 +330,8 @@ def _leaf_arrow(
     A node is one distinct state recorded for one host vertex. States are
     memoized on object identity, so shared subtrees are solved once, and
     all leaves share one entry. A vertex without states makes the arrow
-    hold at once: every coloring of the host restricts to one of it.
+    hold at once: every coloring of the host restricts to one of it. The
+    time budget also covers rebuilding and re-verifying the bad coloring.
     """
     elapsed_ms, expired = _clock(budget)
     n = host.leaf_count
@@ -410,10 +411,14 @@ def _leaf_arrow(
         stack.pop()
 
     # Rebuild a bad coloring top-down. col[j] is the color given to position
-    # j of the vertex's sorted state.
+    # j of the vertex's sorted state. The rebuild and the re-verification
+    # below are charged to the time budget too.
     colors = [0] * n
     walk = [(host, next(iter(memo[key(host)])), list(range(k)), 0)]
     while walk:
+        steps += 1
+        if not steps & 1023 and expired():
+            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
         v, state, col, lo = walk.pop()
         if v.is_leaf:
             colors[lo] = col[k - 1]  # the leaf state's one nonzero mask
@@ -435,11 +440,15 @@ def _leaf_arrow(
     first: dict[int, int] = {}
     colors = [first.setdefault(c, len(first)) for c in colors]
     for c in range(len(first)):
+        if expired():
+            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
         part = [i for i in range(n) if colors[i] == c]
         if count_copies(induced_subtree(host, part), target):
             raise RuntimeError(
                 f"internal error: bad leaf coloring has a copy of the target in color {c}"
             )
+    if expired():
+        return ArrowVerdict("unknown", None, nodes, elapsed_ms())
     witness = Coloring(host, pattern, k, {(i,): c for i, c in enumerate(colors)})
     return ArrowVerdict("fails", witness, nodes, elapsed_ms())
 

@@ -4,6 +4,12 @@ A Coloring assigns one of k colors to every copy of a pattern inside a host
 (totality is mandatory). A region (leaf subset) is monochromatic when all
 pattern-copies whose leaves lie inside it share one color; a region with no
 pattern-copies at all counts as monochromatic with sentinel color -1.
+
+find_mono_copy and find_psi_mono return the lexicographically least
+qualifying copy of a target. Both search the host by the split rule of copy
+counting and stop at the first hit (embedding._least_copy); neither lists
+all copies of the target, so the enumeration cap counts only the lists of
+the target's root children that the search builds.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import FormatError
 from .tree import PlaneTree, iso, parse_newick, to_newick
-from .embedding import CopyRef, enumerate_copies, induced_subtree, validate_copy
+from .embedding import CopyRef, _least_copy, enumerate_copies, induced_subtree, validate_copy
 
 
 @dataclass(frozen=True, eq=True)
@@ -118,15 +124,45 @@ def is_mono(chi: Coloring, region) -> int | None:
     return None
 
 
-def _copies_within(host: PlaneTree, region: CopyRef, target: PlaneTree) -> list[CopyRef]:
-    """The copies of target in host whose leaves lie inside region, in
-    lexicographic order: the copies in the tree region induces, mapped
-    through region (increasing, so the order is kept)."""
-    if len(region) == host.leaf_count:
-        # the host itself keeps its shared subtrees, which enumeration reuses
-        return enumerate_copies(host, target)
-    sub = induced_subtree(host, region)
-    return [tuple([region[i] for i in c]) for c in enumerate_copies(sub, target)]
+def _least_within(
+    host: PlaneTree, region: CopyRef | None, target: PlaneTree, accept
+) -> CopyRef | None:
+    """The least copy of target inside region (the whole host if None) that
+    passes accept, in host positions: the copies of the tree region induces,
+    mapped through region (increasing, so the order is kept)."""
+    if region is None or len(region) == host.leaf_count:
+        # the host itself keeps its shared subtrees, which the search reuses
+        return _least_copy(host, target, accept)
+    found = _least_copy(
+        induced_subtree(host, region),
+        target,
+        lambda c: accept(tuple([region[i] for i in c])),
+    )
+    return None if found is None else tuple([region[i] for i in found])
+
+
+def _agreement(target: PlaneTree, pattern: PlaneTree, value):
+    """common(cand) for a copy cand of target: the one value that value()
+    takes on the copies of pattern inside cand, -1 if there are none, None
+    if they differ. Those copies are enumerate_copies(target, pattern)
+    relabeled through cand's leaves; that template is built on the first
+    call, so a search that meets no copy of target never needs it."""
+    template: list[CopyRef] | None = None
+
+    def common(cand: CopyRef):
+        nonlocal template
+        if template is None:
+            template = enumerate_copies(target, pattern)
+        if not template:
+            return -1
+        rels = iter(template)
+        shared = value(tuple([cand[i] for i in next(rels)]))
+        for rel in rels:
+            if value(tuple([cand[i] for i in rel])) != shared:
+                return None
+        return shared
+
+    return common
 
 
 def find_mono_copy(
@@ -140,20 +176,18 @@ def find_mono_copy(
     that template is enumerated once and each candidate's colors are looked
     up directly; the color is -1 when the template is empty, as in is_mono.
     Returns None if no copy of target is monochromatic.
+
+    The candidates come from a search that stops at the first hit
+    (embedding._least_copy), so the list of all copies of target is never
+    built: the enumeration cap counts only the lists of target's two root
+    children that the search builds, and an answer found early is cheap.
+    When no copy qualifies, every copy is still checked once.
     """
-    if region is None:
-        candidates = enumerate_copies(chi.host, target)
-    else:
-        candidates = _copies_within(chi.host, validate_copy(chi.host, region), target)
-    if not candidates:  # no template needed, as in arrows._arrow_edges
-        return None
-    template = enumerate_copies(target, chi.pattern)
-    assignment = chi.assignment
-    for cand in candidates:
-        colors = {assignment[tuple([cand[i] for i in rel])] for rel in template}
-        if len(colors) <= 1:
-            return cand, colors.pop() if colors else -1
-    return None
+    if region is not None:
+        region = validate_copy(chi.host, region)
+    color = _agreement(target, chi.pattern, chi.assignment.__getitem__)
+    found = _least_within(chi.host, region, target, lambda c: color(c) is not None)
+    return None if found is None else (found, color(found))
 
 
 def _root_split_check(host: PlaneTree, a: CopyRef, b: CopyRef) -> None:
@@ -176,32 +210,39 @@ def _root_split_check(host: PlaneTree, a: CopyRef, b: CopyRef) -> None:
     raise ValueError("not root-split")
 
 
-def _psi_images(
+def _fusion(
     chi: Coloring, region: CopyRef, partner: CopyRef, side: str
-) -> dict[CopyRef, Coloring]:
-    """For each copy of one pattern child inside region, the coloring its
-    joins with partner-side copies induce on the partner sub-host."""
+) -> tuple[PlaneTree, PlaneTree, list[CopyRef], object]:
+    """(sub-host induced by partner, the other pattern child, its copies in
+    that sub-host, image). image maps a copy of one pattern child inside
+    region, in host positions, to the colors of its joins with those
+    partner-side copies, a tuple in their order; images are computed on
+    request and memoized."""
     if chi.pattern.is_leaf:
         raise ValueError("pattern must have at least two leaves to split at the root")
     if side == "left":
         _root_split_check(chi.host, region, partner)
-        own_pattern, other_pattern = chi.pattern.left, chi.pattern.right
+        other_pattern = chi.pattern.right
     else:
         _root_split_check(chi.host, partner, region)
-        own_pattern, other_pattern = chi.pattern.right, chi.pattern.left
-    sub_region = induced_subtree(chi.host, region)
+        other_pattern = chi.pattern.left
     sub_partner = induced_subtree(chi.host, partner)
     partner_copies = enumerate_copies(sub_partner, other_pattern)
-    out: dict[CopyRef, Coloring] = {}
-    for own in enumerate_copies(sub_region, own_pattern):
-        own_host = tuple(region[i] for i in own)
-        assignment = {}
-        for pc in partner_copies:
-            pc_host = tuple(partner[i] for i in pc)
-            join = own_host + pc_host if side == "left" else pc_host + own_host
-            assignment[pc] = chi.assignment[join]
-        out[own_host] = Coloring(sub_partner, other_pattern, chi.k, assignment)
-    return out
+    joins = [tuple([partner[i] for i in pc]) for pc in partner_copies]
+    assignment = chi.assignment
+    memo: dict[CopyRef, tuple[int, ...]] = {}
+
+    def image(own: CopyRef) -> tuple[int, ...]:
+        img = memo.get(own)
+        if img is None:
+            if side == "left":
+                img = tuple([assignment[own + pc] for pc in joins])
+            else:
+                img = tuple([assignment[pc + own] for pc in joins])
+            memo[own] = img
+        return img
+
+    return sub_partner, other_pattern, partner_copies, image
 
 
 def psi_map(chi: Coloring, a, b) -> dict[CopyRef, Coloring]:
@@ -215,7 +256,12 @@ def psi_map(chi: Coloring, a, b) -> dict[CopyRef, Coloring]:
     """
     a = validate_copy(chi.host, a)
     b = validate_copy(chi.host, b)
-    return _psi_images(chi, a, b, "left")
+    sub_b, other_pattern, b_copies, image = _fusion(chi, a, b, "left")
+    out: dict[CopyRef, Coloring] = {}
+    for own in enumerate_copies(induced_subtree(chi.host, a), chi.pattern.left):
+        own = tuple([a[i] for i in own])
+        out[own] = Coloring(sub_b, other_pattern, chi.k, dict(zip(b_copies, image(own))))
+    return out
 
 
 def find_psi_mono(
@@ -223,20 +269,16 @@ def find_psi_mono(
 ) -> CopyRef | None:
     """Lexicographically least copy of target inside region all of whose
     pattern-child copies (left child if side='left', else right) have equal
-    fusion images against partner; None if no copy qualifies."""
+    fusion images against partner; None if no copy qualifies.
+
+    The candidates come from the same stop-at-first-hit search as
+    find_mono_copy, and a child-copy's fusion image is computed only when a
+    candidate holds it, as a tuple of colors in partner-copy order."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     region = validate_copy(chi.host, region)
     partner = validate_copy(chi.host, partner)
-    images = _psi_images(chi, region, partner, side)
+    image = _fusion(chi, region, partner, side)[3]
     own_pattern = chi.pattern.left if side == "left" else chi.pattern.right
-    candidates = _copies_within(chi.host, region, target)
-    if not candidates:
-        return None
-    # the child-copies inside a candidate: one template relabeled per candidate
-    template = enumerate_copies(target, own_pattern)
-    for cand in candidates:
-        inner = [images[tuple([cand[i] for i in rel])] for rel in template]
-        if all(img == inner[0] for img in inner[1:]):
-            return cand
-    return None
+    common = _agreement(target, own_pattern, image)
+    return _least_within(chi.host, region, target, lambda c: common(c) is not None)

@@ -176,15 +176,17 @@ def is_copy(host: PlaneTree, leaves, pattern: PlaneTree) -> bool:
     return iso(induced_subtree(host, s), pattern)
 
 
-def _dp(host: PlaneTree, pattern: PlaneTree, on_leaf_pattern, on_leaf_host, combine):
+def _dp(host: PlaneTree, pattern: PlaneTree, on_leaf_pattern, on_leaf_host, combine, memo=None):
     """Shared bottom-up recursion over (host subtree, pattern subtree) pairs.
 
     A copy of an internal pattern either sits inside one child of the host
     root or splits at it (left pattern child into the left host child, right
     into right). Memoized on object identity, which is sound because results
-    depend only on subtree values and equal objects are equal values.
+    depend only on subtree values and equal objects are equal values. A memo
+    passed in is shared with other calls that use the same callbacks on
+    trees that stay alive meanwhile.
     """
-    memo: dict[tuple[int, int], object] = {}
+    memo = {} if memo is None else memo
     stack = [(host, pattern)]
     while stack:
         t, p = stack[-1]
@@ -224,13 +226,12 @@ def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
     )
 
 
-def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
-    """All copies of pattern in host, lexicographically ordered.
-
-    Guarded by the global enumeration cap; the guard bounds the total number
-    of copy tuples materialized across all subproblems, not just the result.
-    """
-    check_enumeration(count_copies(host, pattern))
+def _copy_lister():
+    """A function (t, p) -> the copies of p in t, a lexicographically ordered
+    tuple in t's own positions. All its calls share one memo, keyed by
+    object identity, and one running charge against the enumeration cap:
+    the total number of copy tuples materialized across all subproblems."""
+    memo: dict[tuple[int, int], object] = {}
     budget = [0]
 
     def charge(items: list) -> tuple:
@@ -250,4 +251,103 @@ def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
         items.sort()
         return charge(items)
 
-    return list(_dp(host, pattern, on_leaf_pattern, lambda: (), combine))
+    def lists(t: PlaneTree, p: PlaneTree) -> tuple:
+        return _dp(t, p, on_leaf_pattern, lambda: (), combine, memo)
+
+    return lists
+
+
+def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
+    """All copies of pattern in host, lexicographically ordered.
+
+    Guarded by the global enumeration cap; the guard bounds the total number
+    of copy tuples materialized across all subproblems, not just the result.
+    """
+    check_enumeration(count_copies(host, pattern))
+    return list(_copy_lister()(host, pattern))
+
+
+def _least_copy(host: PlaneTree, target: PlaneTree, accept) -> CopyRef | None:
+    """The lexicographically least copy of target in host that passes accept,
+    or None; the root's list of copies is never built.
+
+    By the split rule of _dp, the copies under a vertex lie inside its left
+    child, split at it (a copy of target.left in the left child joined with
+    one of target.right in the right child), or lie inside its right child,
+    and the last kind are greater than the other two. So the search finds
+    the best copy inside the left child first, then scans the split copies
+    in lexicographic order (each left part with every right part) until one
+    passes or the left part reaches the left child's best, and descends
+    into the right child only if neither found a copy. The split parts come
+    from one _copy_lister shared by the whole search, so their lists count
+    against the enumeration cap and shared subtrees are listed once; a single
+    leaf's copies are generated, not listed. A split is listed only when the
+    least copy of each part exists and the left part's comes before the left
+    child's best, which a memoized DP finds without lists. The walk is
+    iterative.
+    """
+    m = target.leaf_count
+    lists = _copy_lister()
+    firsts: dict[tuple[int, int], object] = {}
+
+    def least(t: PlaneTree, in_l, in_r, cr_l, cr_r) -> CopyRef | None:
+        nl = t.left.leaf_count
+        if cr_l is not None and cr_r is not None:
+            cross = cr_l + tuple([x + nl for x in cr_r])
+            if in_l is None or cross < in_l:
+                return cross
+        if in_l is not None:
+            return in_l
+        return None if in_r is None else tuple([x + nl for x in in_r])
+
+    def first(t: PlaneTree, p: PlaneTree) -> CopyRef | None:
+        """The least copy of p in t, in t's positions, or None; no list is built."""
+        return _dp(t, p, lambda t: (0,), lambda: None, least, firsts)
+
+    def listed(t: PlaneTree, p: PlaneTree):
+        return ((i,) for i in range(t.leaf_count)) if p.is_leaf else lists(t, p)
+
+    def split(v: PlaneTree, lo: int, bound: CopyRef | None) -> CopyRef | None:
+        head, tail = first(v.left, target.left), first(v.right, target.right)
+        if head is None or tail is None:
+            return None
+        prefix = None if bound is None else bound[: len(head)]
+        if prefix is not None and tuple([x + lo for x in head]) >= prefix:
+            return None  # checked before any list is built
+        off = lo + v.left.leaf_count
+        rights = None
+        for lc in listed(v.left, target.left):
+            lc = tuple([x + lo for x in lc])
+            if prefix is not None and lc >= prefix:
+                return None  # every later split copy is past the left child's best
+            if rights is None:
+                rights = [tuple([x + off for x in rc]) for rc in listed(v.right, target.right)]
+            for rc in rights:
+                cand = lc + rc
+                if accept(cand):
+                    return cand
+        return None
+
+    # frames (vertex, offset, stage): stage 0 descends into the left child,
+    # stage 1 receives its best in `found`; the right child replaces its
+    # parent's frame, so its result is the parent's.
+    found: CopyRef | None = None
+    stack = [(host, 0, 0)]
+    while stack:
+        v, lo, stage = stack.pop()
+        if stage == 0:
+            if v.leaf_count < m:
+                found = None
+            elif v.is_leaf:
+                found = (lo,) if accept((lo,)) else None
+            else:
+                stack.append((v, lo, 1))
+                stack.append((v.left, lo, 0))
+            continue
+        if not target.is_leaf:
+            best = split(v, lo, found)
+            if best is not None:
+                found = best
+        if found is None:
+            stack.append((v.right, lo + v.left.leaf_count, 0))
+    return found

@@ -8,6 +8,7 @@ points at a real bug rather than a shared one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -60,12 +61,17 @@ def naive_induced_shape(t: PlaneTree, chosen) -> object:
 
 def brute_copies(host: PlaneTree, pattern: PlaneTree) -> list[tuple[int, ...]]:
     """All copies of pattern in host by trying every leaf subset."""
+    return list(_brute_copies(host, pattern))
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_copies(host: PlaneTree, pattern: PlaneTree) -> tuple[tuple[int, ...], ...]:
     target = naive_shape(pattern)
-    return [
+    return tuple(
         s
         for s in itertools.combinations(range(host.leaf_count), pattern.leaf_count)
         if naive_induced_shape(host, s) == target
-    ]
+    )
 
 
 def all_colorings(k: int, m: int) -> np.ndarray:

@@ -170,6 +170,16 @@ def test_leaf_arrow_budgets():
     assert v.nodes < full.nodes
 
 
+def test_leaf_arrow_budget_covers_witness_rebuild():
+    # The DP settles P9 -> (P5)^leaf_2 in a few dozen states; rebuilding and
+    # re-verifying the bad coloring takes tens of ms and is charged too.
+    full = check_arrow(perfect_tree(9), perfect_tree(5), leaf(), 2)
+    assert full.status == "fails" and full.millis > 1
+    v = check_arrow(perfect_tree(9), perfect_tree(5), leaf(), 2, SearchBudget(max_millis=1))
+    assert (v.status, v.witness) == ("unknown", None)
+    assert v.nodes <= full.nodes
+
+
 def test_leaf_arrow_on_deep_host():
     # A left spine of 1500 cherries, depth 1500. A color holds a P2 iff some
     # cherry is all that color and two earlier leaves are too (the split

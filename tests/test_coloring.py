@@ -6,18 +6,25 @@ import pytest
 from ramsey_trees import (
     Coloring,
     FormatError,
+    ResourceLimitError,
     all_trees,
+    check_arrow,
+    enumerate_copies,
     find_mono_copy,
     find_psi_mono,
+    is_copy,
     is_mono,
     leaf,
+    node,
     parse_newick,
     perfect_tree,
     psi_map,
+    set_max_enumeration,
 )
 from helpers import brute_copies, brute_psi_mono
 
 CHERRY = parse_newick("(,)")
+CAT3 = parse_newick("((,),)")
 
 
 def leafchi(colors, k=2, host=None):
@@ -107,7 +114,7 @@ def _scan_mono(chi, target, region):
 
 def test_find_mono_copy_matches_scan_oracle():
     rng = random.Random(20261017)
-    hosts = [t for n in range(3, 6) for t in all_trees(n)] + [perfect_tree(3)]
+    hosts = [t for n in range(3, 6) for t in all_trees(n)] + [perfect_tree(3), perfect_tree(4)]
     targets = [t for n in range(1, 5) for t in all_trees(n)]
     patterns = [t for n in range(1, 4) for t in all_trees(n)]
     for host in hosts:
@@ -124,7 +131,7 @@ def test_find_mono_copy_matches_scan_oracle():
 
 def test_find_psi_mono_matches_image_filter_oracle():
     rng = random.Random(1017)
-    hosts = [t for n in range(2, 6) for t in all_trees(n)] + [perfect_tree(3)]
+    hosts = [t for n in range(2, 6) for t in all_trees(n)] + [perfect_tree(3), perfect_tree(4)]
     targets = [t for n in range(1, 5) for t in all_trees(n)]
     patterns = [t for n in range(2, 4) for t in all_trees(n)]
     for host in hosts:
@@ -140,6 +147,68 @@ def test_find_psi_mono_matches_image_filter_oracle():
                         expected = brute_psi_mono(chi, region, target, side, partner)
                         got = find_psi_mono(chi, region, target, side, partner)
                         assert got == expected, (host, pattern, target, side, region, partner)
+
+
+def test_finders_find_nothing_under_bad_colorings():
+    # A bad coloring from check_arrow leaves no copy of the target
+    # monochromatic, so the search checks every copy and returns None.
+    for host, target, pattern, k in (
+        (perfect_tree(3), CAT3, CHERRY, 2),
+        (perfect_tree(3), perfect_tree(2), CHERRY, 2),
+        (perfect_tree(4), CAT3, CHERRY, 3),
+        (perfect_tree(3), perfect_tree(2), leaf(), 2),
+    ):
+        v = check_arrow(host, target, pattern, k)
+        assert v.status == "fails"
+        n = host.leaf_count
+        for region in (None, range(n), range(1, n), range(0, n, 2)):
+            assert find_mono_copy(v.witness, target, region=region) is None
+            assert _scan_mono(v.witness, target, None if region is None else tuple(region)) is None
+    chi = check_arrow(perfect_tree(3), perfect_tree(2), CHERRY, 2).witness
+    for side, region, partner in (("left", (0, 1, 2, 3), (4, 5, 6, 7)), ("right", (4, 5, 6, 7), (0, 1, 2, 3))):
+        assert find_psi_mono(chi, region, perfect_tree(2), side, partner) is None
+        assert brute_psi_mono(chi, region, perfect_tree(2), side, partner) is None
+
+
+def test_find_mono_copy_on_deep_host():
+    # A left spine of 1500 cherries, depth 1500, colored 0,0,1,1,0,0,...:
+    # the search walks it without recursion. Its first 6 cherries induce the
+    # same spine, small enough for the scan oracle.
+    def spine(m):
+        host = CHERRY
+        for _ in range(m - 1):
+            host = node(host, CHERRY)
+        return host
+
+    def pairs(host):
+        return Coloring.from_leaf_colors(host, [(i // 2) % 2 for i in range(host.leaf_count)], 2)
+
+    deep, small = pairs(spine(1500)), pairs(spine(6))
+    for target, want in ((CHERRY, (0, 1)), (CAT3, (0, 1, 4)), (perfect_tree(2), (0, 1, 4, 5))):
+        got = find_mono_copy(deep, target)
+        assert got == (want, 0)
+        assert got == _scan_mono(small, target, None)
+        assert is_copy(deep.host, want, target) and is_mono(deep, want) == 0
+    # Colored 0,1,0,1,..., two leaves of one color meet only at a spine
+    # vertex, above every earlier leaf, so no (,(,)) is monochromatic. The
+    # search checks every copy; a single leaf's copies are generated, so the
+    # leaves under the spine vertices are not charged to the cap.
+    alternating = Coloring.from_leaf_colors(spine(200), [i % 2 for i in range(400)], 2)
+    set_max_enumeration(10_000)
+    assert find_mono_copy(alternating, parse_newick("(,(,))")) is None
+
+
+def test_find_mono_copy_under_enumeration_cap():
+    # P5 holds 16,120 copies of P2, over a cap of 2000; the search lists
+    # only the cherries of P5's subtrees and still finds the least copy.
+    rng = random.Random(5)
+    chi = _random_coloring(rng, perfect_tree(5), CHERRY, 2)
+    uncapped = find_mono_copy(chi, perfect_tree(2))
+    assert uncapped is not None
+    set_max_enumeration(2000)
+    with pytest.raises(ResourceLimitError):
+        enumerate_copies(perfect_tree(5), perfect_tree(2))
+    assert find_mono_copy(chi, perfect_tree(2)) == uncapped
 
 
 def test_psi_map_frozen_example():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from ramsey_trees import (
     to_newick,
     validate_copy,
 )
+from ramsey_trees.embedding import _least_copy
 from helpers import brute_copies, naive_induced_shape, naive_shape
 
 trees = st.recursive(
@@ -147,6 +149,29 @@ def test_copy_text_form():
         parse_copy("[0.5]")
     with pytest.raises(FormatError):
         parse_copy("nope")
+
+
+def test_least_copy_matches_subset_oracle():
+    # accept passes a random share of the copies (all, none, or about a
+    # third or two thirds); the answer is the least copy it passes.
+    rng = random.Random(4)
+    hosts = [t for n in range(1, 8) for t in all_trees(n)] + [perfect_tree(3)]
+    targets = [t for n in range(1, 5) for t in all_trees(n)]
+    for host in hosts:
+        for target in targets:
+            copies = brute_copies(host, target)
+            for share in (1.0, 0.0, 0.33, 0.67):
+                passed = {c for c in copies if rng.random() < share}
+                asked = []
+
+                def accept(c):
+                    asked.append(c)
+                    return c in passed
+
+                want = min(passed, default=None)
+                assert _least_copy(host, target, accept) == want, (host, target, share)
+                # only copies are tried, each at most once
+                assert len(set(asked)) == len(asked) and set(asked) <= set(copies)
 
 
 def test_deep_host_does_not_hit_recursion_limits():
