@@ -1,6 +1,11 @@
 """Copies, triple encodings and arrow (partition) search on rooted binary
 plane trees."""
 
+# The package does not use numpy. It is imported only because the benchmark
+# worker reads sys.modules["numpy"] without a default to record its version
+# (perfbench/worker.py:263); drop it when the worker reads it with one.
+import numpy  # noqa: F401
+
 from .errors import (
     BudgetExhaustedError,
     FormatError,
@@ -22,11 +27,9 @@ from .tree import (
     iso,
     iterate,
     leaf,
-    left_subtree,
     node,
     parse_newick,
     perfect_tree,
-    right_subtree,
     shape_key,
     substitute,
     to_newick,
@@ -105,7 +108,6 @@ __all__ = [
     "leaf",
     "leaf_labels",
     "leaf_lca_depth",
-    "left_subtree",
     "max_enumeration",
     "max_leaves",
     "min_arrow_height",
@@ -118,7 +120,6 @@ __all__ = [
     "psi_map",
     "reconstruct",
     "restrict",
-    "right_subtree",
     "set_max_enumeration",
     "set_max_leaves",
     "shape_key",

@@ -17,8 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FormatError
-from .tree import PlaneTree, iso, parse_newick, to_newick
-from .embedding import CopyRef, _least_copy, enumerate_copies, induced_subtree, validate_copy
+from .tree import PlaneTree, leaf, parse_newick, to_newick
+from .embedding import (
+    CopyRef,
+    _least_copy,
+    _parting,
+    enumerate_copies,
+    induced_subtree,
+    validate_copy,
+)
 
 
 @dataclass(frozen=True, eq=True)
@@ -66,8 +73,6 @@ class Coloring:
             raise ValueError(
                 f"expected {host.leaf_count} leaf colors, got {len(colors)}"
             )
-        from .tree import leaf
-
         return cls(host, leaf(), k, {(i,): colors[i] for i in range(len(colors))})
 
     def copies(self) -> list[CopyRef]:
@@ -191,22 +196,12 @@ def find_mono_copy(
 
 
 def _root_split_check(host: PlaneTree, a: CopyRef, b: CopyRef) -> None:
-    """Require a common vertex whose left subtree spans a and right spans b."""
-    if a[-1] >= b[0]:
-        raise ValueError("not root-split")
-    t = host
-    lo = 0
-    while not t.is_leaf:
-        mid = lo + t.left.leaf_count
-        if a[-1] < mid <= b[0]:
+    """Require a common vertex whose left subtree spans a and right spans b:
+    the vertex where a[0] and b[-1] part must split them between a and b."""
+    if a[-1] < b[0]:
+        v, lo, _ = _parting(host, 0, a[0], b[-1])
+        if a[-1] < lo + v.left.leaf_count <= b[0]:
             return
-        if b[-1] < mid:
-            t = t.left
-        elif a[0] >= mid:
-            t = t.right
-            lo = mid
-        else:
-            break
     raise ValueError("not root-split")
 
 

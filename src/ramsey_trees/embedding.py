@@ -10,93 +10,50 @@ positions with text form "[0,1,3]".
 from __future__ import annotations
 
 import json
-
-import numpy as np
+from bisect import bisect_left
 
 from .errors import FormatError
 from .limits import check_enumeration
-from .tree import PlaneTree, iso, leaf, node
+from .tree import PlaneTree, iso, node
 
 CopyRef = tuple[int, ...]
 
-# Above this many leaves the O(n log n) RMQ table is skipped and LCA-depth
-# queries fall back to direct scans over the separator array.
-_RMQ_LIMIT = 1 << 17
 
-
-def _host_cache(t: PlaneTree) -> dict:
-    if t._cache is None:
-        t._cache = {}
-    return t._cache
-
-
-def _leaf_data(t: PlaneTree) -> tuple[list[str | None], list[int]]:
-    """Per-host arrays: leaf labels in order, and separator depths.
-
-    Separator i is the depth of the LCA of consecutive leaves i and i+1;
-    every internal vertex contributes exactly one separator (in-order).
-    """
-    cache = _host_cache(t)
-    if "labels" not in cache:
-        labels: list[str | None] = []
-        sep: list[int] = []
-        stack: list[tuple[PlaneTree | None, int]] = [(t, 0)]
-        while stack:
-            v, depth = stack.pop()
-            if v is None:
-                sep.append(depth)
-            elif v.is_leaf:
-                labels.append(v.label)
-            else:
-                stack.append((v.right, depth + 1))
-                stack.append((None, depth))
-                stack.append((v.left, depth + 1))
-        cache["labels"] = labels
-        cache["sep"] = sep
-    return cache["labels"], cache["sep"]
-
-
-def _sep_rmq(t: PlaneTree):
-    """Range-min over the separator array as a callable f(a, b) for sep[a:b)."""
-    cache = _host_cache(t)
-    if "rmq" in cache:
-        return cache["rmq"]
-    _, sep = _leaf_data(t)
-    m = len(sep)
-    if m > _RMQ_LIMIT:
-        def query(a: int, b: int) -> int:
-            return min(sep[a:b])
-    else:
-        levels = [np.asarray(sep, dtype=np.int64)]
-        j = 1
-        while (1 << j) <= m:
-            prev = levels[-1]
-            half = 1 << (j - 1)
-            levels.append(np.minimum(prev[: m - (1 << j) + 1], prev[half : m - half + 1]))
-            j += 1
-
-        def query(a: int, b: int) -> int:
-            j = (b - a).bit_length() - 1
-            lvl = levels[j]
-            return int(min(lvl[a], lvl[b - (1 << j)]))
-
-    cache["rmq"] = query
-    return query
+def _parting(v: PlaneTree, lo: int, a: int, b: int) -> tuple[PlaneTree, int, int]:
+    """Walk down from v, whose first leaf is at position lo, toward leaf
+    positions a <= b inside it, and stop where they part: return the
+    deepest vertex spanning both (a leaf when a == b), its first leaf's
+    position and its depth below v. O(height), no per-host state."""
+    depth = 0
+    while not v.is_leaf:
+        mid = lo + v.left.leaf_count
+        if b < mid:
+            v = v.left
+        elif a >= mid:
+            v, lo = v.right, mid
+        else:
+            break
+        depth += 1
+    return v, lo, depth
 
 
 def leaf_labels(t: PlaneTree) -> list[str | None]:
-    """Labels of the leaves of t in left-to-right order (cached per host)."""
-    return list(_leaf_data(t)[0])
+    """Labels of the leaves of t in left-to-right order."""
+    labels: list[str | None] = []
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        if v.is_leaf:
+            labels.append(v.label)
+        else:
+            stack.extend((v.right, v.left))
+    return labels
 
 
 def leaf_lca_depth(t: PlaneTree, a: int, b: int) -> int:
     """Depth of the LCA of two distinct leaf positions."""
-    n = t.leaf_count
-    if not (0 <= a < n and 0 <= b < n) or a == b:
-        raise ValueError(f"need two distinct leaf positions in [0, {n}), got {a}, {b}")
-    if a > b:
-        a, b = b, a
-    return _sep_rmq(t)(a, b)
+    a, b = validate_copy(t, (a, b))
+    return _parting(t, 0, a, b)[2]
 
 
 def validate_copy(host: PlaneTree, leaves) -> CopyRef:
@@ -138,33 +95,31 @@ def parse_copy(text: str) -> CopyRef:
 def induced_subtree(host: PlaneTree, leaves) -> PlaneTree:
     """The LCA-closure of a leaf subset with degree-2 vertices suppressed.
 
-    Labels of the chosen leaves are preserved. Built bottom-up from the
-    depths of the LCAs of consecutive chosen leaves (deeper separators bind
-    tighter), so no recursion on the host is needed.
+    Labels of the chosen leaves are preserved. One iterative walk: from a
+    vertex, go down to where the first and last chosen positions part;
+    there the chosen positions split between the two children (found by
+    bisection) and make one result vertex. A host subtree whose leaves are
+    all chosen is its own induced tree and is shared, not copied.
     """
     s = validate_copy(host, leaves)
-    labels, _ = _leaf_data(host)
-    if len(s) == 1:
-        return leaf(labels[s[0]])
-    rmq = _sep_rmq(host)
-    out: list[PlaneTree] = [leaf(labels[s[0]])]
-    ops: list[int] = []
-    for j in range(1, len(s)):
-        d = rmq(s[j - 1], s[j])
-        while ops and ops[-1] > d:
-            ops.pop()
+    out: list[PlaneTree] = []
+    # (vertex, its first position, chosen s[i:j] inside it); None joins the
+    # last two results
+    stack: list[tuple[PlaneTree, int, int, int] | None] = [(host, 0, 0, len(s))]
+    while stack:
+        item = stack.pop()
+        if item is None:
             r = out.pop()
             out.append(node(out.pop(), r))
-        # equal adjacent separator depths would mean two distinct vertices at
-        # the same depth on one root path, which cannot happen in a tree
-        if ops and ops[-1] >= d:
-            raise RuntimeError("internal error: separator depths out of order")
-        ops.append(d)
-        out.append(leaf(labels[s[j]]))
-    while ops:
-        ops.pop()
-        r = out.pop()
-        out.append(node(out.pop(), r))
+            continue
+        v, lo, i, j = item
+        v, lo, _ = _parting(v, lo, s[i], s[j - 1])
+        if j - i == v.leaf_count:
+            out.append(v)
+            continue
+        mid = lo + v.left.leaf_count
+        k = bisect_left(s, mid, i, j)
+        stack.extend((None, (v.right, mid, k, j), (v.left, lo, i, k)))
     return out[0]
 
 

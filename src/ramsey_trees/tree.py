@@ -35,7 +35,7 @@ class PlaneTree:
     values. ``leaf_count``, ``height`` and the hash are fixed at construction.
     """
 
-    __slots__ = ("left", "right", "label", "leaf_count", "height", "_hash", "_cache")
+    __slots__ = ("left", "right", "label", "leaf_count", "height", "_hash")
 
     def __init__(self, left: PlaneTree | None, right: PlaneTree | None, label: str | None):
         self.left = left
@@ -50,7 +50,6 @@ class PlaneTree:
             self.leaf_count = left.leaf_count + right.leaf_count
             self.height = 1 + max(left.height, right.height)
             self._hash = hash(("node", left._hash, right._hash, left.leaf_count))
-        self._cache = None
 
     @property
     def is_leaf(self) -> bool:
@@ -109,18 +108,6 @@ def node(left: PlaneTree, right: PlaneTree) -> PlaneTree:
         raise TypeError("node() children must be PlaneTree instances")
     check_leaves(left.leaf_count + right.leaf_count)
     return PlaneTree(left, right, None)
-
-
-def left_subtree(t: PlaneTree) -> PlaneTree:
-    if t.is_leaf:
-        raise ValueError("no children")
-    return t.left
-
-
-def right_subtree(t: PlaneTree) -> PlaneTree:
-    if t.is_leaf:
-        raise ValueError("no children")
-    return t.right
 
 
 def parse_newick(text: str) -> PlaneTree:

@@ -61,9 +61,6 @@ class TripleStructure:
             if (b, a, c) not in self.triples:
                 raise ValueError(f"triple relation must be symmetric in the first two slots: {t!r}")
 
-    def position(self, ident: str) -> int:
-        return self.domain.index(ident)
-
     def to_json_obj(self) -> dict:
         pos = {x: i for i, x in enumerate(self.domain)}
         ordered = sorted(self.triples, key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]]))

@@ -59,6 +59,21 @@ def naive_induced_shape(t: PlaneTree, chosen) -> object:
     return shape
 
 
+def perfect_induced_shape(height: int, chosen) -> object:
+    """Shape a sorted leaf subset induces in perfect_tree(height): positions
+    below the midpoint lie in the left half, the rest in the right half."""
+    if len(chosen) == 1:
+        return None
+    half = 1 << (height - 1)
+    lo = [x for x in chosen if x < half]
+    hi = [x - half for x in chosen if x >= half]
+    if not lo:
+        return perfect_induced_shape(height - 1, hi)
+    if not hi:
+        return perfect_induced_shape(height - 1, lo)
+    return (perfect_induced_shape(height - 1, lo), perfect_induced_shape(height - 1, hi))
+
+
 def brute_copies(host: PlaneTree, pattern: PlaneTree) -> list[tuple[int, ...]]:
     """All copies of pattern in host by trying every leaf subset."""
     return list(_brute_copies(host, pattern))

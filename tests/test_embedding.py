@@ -22,7 +22,7 @@ from ramsey_trees import (
     validate_copy,
 )
 from ramsey_trees.embedding import _least_copy
-from helpers import brute_copies, naive_induced_shape, naive_shape
+from helpers import brute_copies, naive_induced_shape, naive_shape, perfect_induced_shape
 
 trees = st.recursive(
     st.just(leaf()), lambda sub: st.builds(node, sub, sub), max_leaves=8
@@ -57,8 +57,29 @@ def test_leaf_lca_depth_on_caterpillar():
     assert leaf_lca_depth(t, 0, 1) == 2
     assert leaf_lca_depth(t, 1, 2) == 1
     assert leaf_lca_depth(t, 0, 3) == 0
-    with pytest.raises(ValueError):
-        leaf_lca_depth(t, 2, 2)
+    for a, b in ((2, 2), (True, 2), (0.5, 2), (-1, 2), (0, 4)):
+        with pytest.raises(ValueError):
+            leaf_lca_depth(t, a, b)
+
+
+def test_leaf_lca_depth_on_large_perfect_hosts():
+    rng = random.Random(18)
+    for d in (18, 20):
+        t = perfect_tree(d)
+        for _ in range(200):
+            a, b = rng.sample(range(1 << d), 2)
+            assert leaf_lca_depth(t, a, b) == d - (a ^ b).bit_length()
+
+
+def test_induced_subtree_on_large_perfect_host():
+    t = perfect_tree(18)
+    rng = random.Random(8)
+    sets = [sorted(rng.sample(range(1 << 18), 8)) for _ in range(200)]
+    # runs of 8 consecutive leaves, some filling a whole host subtree
+    sets += [list(range(x, x + 8)) for x in rng.sample(range((1 << 18) - 8), 20)]
+    sets += [list(range(x, x + 8)) for x in (0, 8 * rng.randrange(1 << 15))]
+    for s in sets:
+        assert naive_shape(induced_subtree(t, s)) == perfect_induced_shape(18, s), s
 
 
 def test_enumerate_copies_frozen_examples():
@@ -182,4 +203,7 @@ def test_deep_host_does_not_hit_recursion_limits():
     assert t.leaf_count == 3002
     assert to_newick(t) == text
     assert to_newick(induced_subtree(t, (0, 1, 3001))) == "((,),)"
+    rng = random.Random(3002)
+    for a, b in [(0, 1), (0, 3001)] + [sorted(rng.sample(range(3002), 2)) for _ in range(50)]:
+        assert leaf_lca_depth(t, a, b) == 3002 - 1 - b
     assert count_copies(t, perfect_tree(1)) == 3002 * 3001 // 2

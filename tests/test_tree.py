@@ -9,11 +9,9 @@ from ramsey_trees import (
     iso,
     iterate,
     leaf,
-    left_subtree,
     node,
     parse_newick,
     perfect_tree,
-    right_subtree,
     set_max_leaves,
     shape_key,
     substitute,
@@ -132,16 +130,6 @@ def test_perfect_tree_is_iterated_cherry():
     cherry = perfect_tree(1)
     for c in range(1, 6):
         assert iso(perfect_tree(c), iterate(cherry, c))
-
-
-def test_subtree_accessors():
-    t = parse_newick("(a,(b,c))")
-    assert left_subtree(t).label == "a"
-    assert to_newick(right_subtree(t)) == "(b,c)"
-    with pytest.raises(ValueError, match="no children"):
-        left_subtree(leaf())
-    with pytest.raises(ValueError, match="no children"):
-        right_subtree(leaf("x"))
 
 
 def test_all_trees_counts_and_distinctness():
