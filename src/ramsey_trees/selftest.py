@@ -26,7 +26,8 @@ from .tree import (
     to_newick,
 )
 from .embedding import count_copies, enumerate_copies, induced_subtree, is_copy
-from .triples import restrict, structure_of, substructure_iso, reconstruct
+from .errors import InconsistentTriplesError
+from .triples import TripleStructure, restrict, structure_of, substructure_iso, reconstruct
 from .coloring import Coloring, is_mono
 from .arrows import (
     build_reduction_chain,
@@ -104,9 +105,21 @@ def _check_triples() -> tuple[bool, str]:
     for n in range(1, 7):
         for t in all_trees(n):
             lt = _labeled(t)
-            if reconstruct(structure_of(lt)) != lt:
+            enc = structure_of(lt)
+            if reconstruct(enc) != lt:
                 return False, f"round-trip failed for {to_newick(lt)}"
             cases += 1
+            # A plane tree never orients the outer pair of three leaves
+            # below the middle one: flipping a 3-set to that keeps the size.
+            for p, q, r in itertools.combinations(enc.domain, 3):
+                pair = {(p, q, r), (q, p, r)} if (p, q, r) in enc.triples else {(q, r, p), (r, q, p)}
+                flipped = TripleStructure(enc.domain, enc.triples - pair | {(p, r, q), (r, p, q)})
+                try:
+                    reconstruct(flipped)
+                except InconsistentTriplesError:
+                    cases += 1
+                else:
+                    return False, f"flipped 3-set {p},{q},{r} of {to_newick(lt)} was accepted"
     for n in range(2, 6):
         for t in all_trees(n):
             lt = _labeled(t)
@@ -117,7 +130,7 @@ def _check_triples() -> tuple[bool, str]:
                     if structure_of(induced_subtree(lt, s)) != restrict(enc, ids):
                         return False, f"restriction mismatch on {to_newick(lt)} at {list(s)}"
                     cases += 1
-    return True, f"encode/reconstruct round-trips and restrictions, {cases} cases"
+    return True, f"encode/reconstruct round-trips, flipped 3-set rejections and restrictions, {cases} cases"
 
 
 def _check_bridge() -> tuple[bool, str]:

@@ -5,18 +5,34 @@ the ternary relation "ab|c": the LCA of leaves a and b is a proper descendant
 of the LCA of a and c. The relation is symmetric in its first two slots and
 is stored over a linearly ordered domain of leaf identities (labels where
 present, otherwise decimal positions).
+
+A tree on n leaves has exactly 2*C(n, 3) triples: each 3-set of leaves has
+one pair that parts below the third leaf, in both orders. Encoding emits
+one tuple per triple and nothing else: at each internal vertex, every leaf
+of one child with every leaf of the other and every leaf outside the
+vertex. Decoding splits each block of consecutive leaves at its root with
+one membership test per leaf: x goes with the block's first leaf h iff
+hx|z holds for the block's last leaf z. The candidate tree is then
+re-encoded against the input, one lookup per triple, so a relation no tree
+realizes is rejected. Both directions charge the enumeration cap 2*C(n, 3)
+items.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
+from math import comb
+from operator import itemgetter
 
 from .errors import InconsistentTriplesError, FormatError
 from .limits import check_enumeration
 from .tree import PlaneTree, leaf, node
-from .embedding import leaf_labels, leaf_lca_depth
+from .embedding import leaf_labels
 
 Triple = tuple[str, str, str]
+
+_swap = itemgetter(1, 0, 2)
 
 
 def _check_identity(ident: str) -> None:
@@ -42,7 +58,7 @@ class TripleStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "triples", frozenset(tuple(t) for t in self.triples))
+        object.__setattr__(self, "triples", frozenset(map(tuple, self.triples)))
         if not self.domain:
             raise ValueError("domain must be nonempty")
         seen = set()
@@ -51,15 +67,18 @@ class TripleStructure:
             if ident in seen:
                 raise ValueError(f"duplicate leaf identity: {ident!r}")
             seen.add(ident)
-        for t in self.triples:
-            if len(t) != 3 or len(set(t)) != 3:
-                raise ValueError(f"triple must have three distinct entries: {t!r}")
-            for x in t:
-                if x not in seen:
-                    raise ValueError(f"triple entry {x!r} is not in the domain")
-            a, b, c = t
-            if (b, a, c) not in self.triples:
-                raise ValueError(f"triple relation must be symmetric in the first two slots: {t!r}")
+        # Whole-set checks; a loop looks for the offending triple only once
+        # one has failed.
+        triples = self.triples
+        if not set(map(len, triples)) | set(map(len, map(set, triples))) <= {3}:
+            bad = next(t for t in triples if len(t) != 3 or len(set(t)) != 3)
+            raise ValueError(f"triple must have three distinct entries: {bad!r}")
+        if not seen.issuperset(chain.from_iterable(triples)):
+            bad = next(x for t in triples for x in t if x not in seen)
+            raise ValueError(f"triple entry {bad!r} is not in the domain")
+        if not triples.issuperset(map(_swap, triples)):
+            bad = next(t for t in triples if _swap(t) not in triples)
+            raise ValueError(f"triple relation must be symmetric in the first two slots: {bad!r}")
 
     def to_json_obj(self) -> dict:
         pos = {x: i for i, x in enumerate(self.domain)}
@@ -84,6 +103,22 @@ class TripleStructure:
         return cls(tuple(domain), frozenset(out))
 
 
+def _split_products(t: PlaneTree, idents):
+    """For each internal vertex of t, the triples whose first two leaves
+    part there: one product per order of its two children, with every leaf
+    outside the vertex as the third. idents lists t's leaves in order."""
+    stack = [(t, 0)]
+    while stack:
+        v, lo = stack.pop()
+        if v.is_leaf:
+            continue
+        mid, hi = lo + v.left.leaf_count, lo + v.leaf_count
+        left, right, outside = idents[lo:mid], idents[mid:hi], idents[:lo] + idents[hi:]
+        yield product(left, right, outside)
+        yield product(right, left, outside)
+        stack += ((v.left, lo), (v.right, mid))
+
+
 def structure_of(t: PlaneTree) -> TripleStructure:
     """Encode a tree; leaf identities are labels, or positions where absent."""
     labels = leaf_labels(t)
@@ -92,20 +127,9 @@ def structure_of(t: PlaneTree) -> TripleStructure:
     if len(set(idents)) != n:
         dupes = sorted({x for x in idents if idents.count(x) > 1})
         raise ValueError(f"leaf identities are not distinct: {dupes}")
-    check_enumeration(n * (n - 1) * (n - 2))
-    depth = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            depth[a][b] = depth[b][a] = leaf_lca_depth(t, a, b)
-    triples: set[Triple] = set()
-    for a in range(n):
-        for b in range(a + 1, n):
-            dab = depth[a][b]
-            for c in range(n):
-                if c != a and c != b and dab > depth[a][c]:
-                    triples.add((idents[a], idents[b], idents[c]))
-                    triples.add((idents[b], idents[a], idents[c]))
-    return TripleStructure(tuple(idents), frozenset(triples))
+    check_enumeration(2 * comb(n, 3))
+    triples = frozenset(chain.from_iterable(_split_products(t, idents)))
+    return TripleStructure(tuple(idents), triples)
 
 
 def restrict(g: TripleStructure, keep) -> TripleStructure:
@@ -132,32 +156,33 @@ def substructure_iso(g: TripleStructure, h: TripleStructure) -> bool:
 def reconstruct(g: TripleStructure) -> PlaneTree:
     """The unique plane tree realizing g, leaves labeled by their identities.
 
-    Root split rule: the left block is the first domain element together with
-    everything sharing a triple with it; the block must be a proper prefix of
-    the domain, and recursion proceeds on both blocks. The candidate is then
-    re-encoded and compared with g, so any unrealizable relation (including
-    missing or surplus orientations) is rejected.
+    Root split rule: a leaf x strictly inside a block goes with the block's
+    first leaf h iff hx|z holds for the block's last leaf z, that is iff h
+    and x part below the block's root. That side must be a prefix of the
+    block, and recursion proceeds on both sides. The candidate is then
+    re-encoded and compared with g: g must have exactly the candidate's
+    2*C(n, 3) triples, so any unrealizable relation (including missing or
+    surplus orientations) is rejected.
     """
-    n = len(g.domain)
-    check_enumeration(n * (n - 1) * (n - 2))
-    pos = {x: i for i, x in enumerate(g.domain)}
-    rel = {(pos[a], pos[b], pos[c]) for a, b, c in g.triples}
+    domain, triples = g.domain, g.triples
+    n = len(domain)
+    size = 2 * comb(n, 3)
+    check_enumeration(size)
+    if len(triples) != size:
+        raise InconsistentTriplesError("inconsistent")
 
-    def build(indices: list[int]) -> PlaneTree:
-        if len(indices) == 1:
-            return leaf(g.domain[indices[0]])
-        head = indices[0]
-        members = set(indices)
-        block = {head}
-        for x in indices[1:]:
-            if any((head, x, z) in rel for z in members if z != head and z != x):
-                block.add(x)
-        size = len(block)
-        if size == len(indices) or set(indices[:size]) != block:
+    def build(lo: int, hi: int) -> PlaneTree:
+        if hi - lo == 1:
+            return leaf(domain[lo])
+        h, z = domain[lo], domain[hi - 1]
+        with_h = [(h, x, z) in triples for x in domain[lo + 1 : hi - 1]]
+        mid = lo + 1 + sum(with_h)
+        if not all(with_h[: mid - lo - 1]):
             raise InconsistentTriplesError("inconsistent")
-        return node(build(indices[:size]), build(indices[size:]))
+        return node(build(lo, mid), build(mid, hi))
 
-    candidate = build(list(range(len(g.domain))))
-    if structure_of(candidate) != g:
+    candidate = build(0, n)
+    # Equal sizes, so containment is equality.
+    if not triples.issuperset(chain.from_iterable(_split_products(candidate, domain))):
         raise InconsistentTriplesError("inconsistent")
     return candidate

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os.path
 
 import numpy as np
 
@@ -72,6 +73,32 @@ def perfect_induced_shape(height: int, chosen) -> object:
     if not hi:
         return perfect_induced_shape(height - 1, lo)
     return (perfect_induced_shape(height - 1, lo), perfect_induced_shape(height - 1, hi))
+
+
+def brute_structure(t: PlaneTree) -> tuple[tuple[str, ...], frozenset]:
+    """(domain, triples) of t by definition: ab|c iff the LCA of a and b is
+    deeper than the LCA of a and c, over every ordered triple of leaves.
+    LCA depths come from root paths (common prefix length)."""
+    paths, labels = [], []
+
+    def walk(v: PlaneTree, path: str) -> None:
+        if v.is_leaf:
+            paths.append(path)
+            labels.append(v.label)
+        else:
+            walk(v.left, path + "0")
+            walk(v.right, path + "1")
+
+    walk(t, "")
+    n = len(paths)
+    idents = tuple(lab if lab is not None else str(i) for i, lab in enumerate(labels))
+    depth = [[len(os.path.commonprefix([p, q])) for q in paths] for p in paths]
+    triples = frozenset(
+        (idents[a], idents[b], idents[c])
+        for a, b, c in itertools.permutations(range(n), 3)
+        if depth[a][b] > depth[a][c]
+    )
+    return idents, triples
 
 
 def brute_copies(host: PlaneTree, pattern: PlaneTree) -> list[tuple[int, ...]]:

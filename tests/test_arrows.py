@@ -31,7 +31,7 @@ from ramsey_trees import (
     set_max_enumeration,
     set_max_leaves,
 )
-from ramsey_trees import arrows, embedding
+from ramsey_trees import arrows, embedding, triples
 from ramsey_trees.arrows import _arrow_edges
 from helpers import brute_arrow_edges, brute_arrow_status, check_witness
 
@@ -196,8 +196,9 @@ def test_leaf_arrow_on_deep_host():
 
 
 def test_arrows_has_no_assert():
-    # Witness checks must keep running under python -O.
-    for module in (arrows, embedding):
+    # Witness checks, the triple constructor checks and the decoder's
+    # re-encoding check must keep running under python -O.
+    for module in (arrows, embedding, triples):
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], module

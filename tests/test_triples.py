@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from ramsey_trees import (
     FormatError,
     InconsistentTriplesError,
+    ResourceLimitError,
     TripleStructure,
     all_trees,
     iso,
@@ -15,10 +17,11 @@ from ramsey_trees import (
     parse_newick,
     reconstruct,
     restrict,
+    set_max_enumeration,
     structure_of,
     substructure_iso,
 )
-from helpers import labeled
+from helpers import brute_structure, labeled
 
 trees = st.recursive(
     st.just(leaf()), lambda sub: st.builds(node, sub, sub), max_leaves=8
@@ -69,18 +72,52 @@ def test_structure_of_rejects_duplicate_identities():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError, match="^triple relation must be symmetric in the first two slots: "):
         TripleStructure(("a", "b", "c"), frozenset({("a", "b", "c")}))
-    with pytest.raises(ValueError, match="distinct entries"):
+    with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
         TripleStructure(("a", "b"), frozenset({("a", "a", "b"), ("a", "a", "b")}))
-    with pytest.raises(ValueError, match="not in the domain"):
+    with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
+        TripleStructure(("a", "b", "c"), frozenset({("a", "b", "c", "a")}))
+    with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
+        TripleStructure(("a", "b"), [["a", "b"], ["b", "a"]])
+    with pytest.raises(ValueError, match="^triple entry 'z' is not in the domain"):
         TripleStructure(("a", "b"), frozenset({("a", "b", "z"), ("b", "a", "z")}))
     with pytest.raises(ValueError, match="nonempty"):
         TripleStructure((), frozenset())
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="^duplicate leaf identity: "):
         TripleStructure(("a", "a"), frozenset())
     with pytest.raises(ValueError):
         TripleStructure(("a,b",), frozenset())
+
+
+def _assert_matches_definition(t):
+    g = structure_of(t)
+    assert (g.domain, g.triples) == brute_structure(t)
+    assert len(g.triples) == 2 * math.comb(t.leaf_count, 3)
+
+
+def test_structure_of_matches_definition_all_small_shapes():
+    for n in range(1, 8):
+        for t in all_trees(n):
+            _assert_matches_definition(labeled(t))
+
+
+@given(trees)
+def test_structure_of_matches_definition_random(t):
+    _assert_matches_definition(t)
+
+
+def test_triple_cap_charges_exact_count():
+    # A 10-leaf tree has 2 * C(10, 3) = 240 triples, whatever its shape.
+    t = labeled(all_trees(10)[0])
+    set_max_enumeration(240)
+    g = structure_of(t)
+    assert reconstruct(g) == t
+    set_max_enumeration(239)
+    with pytest.raises(ResourceLimitError, match="would produce 240 items"):
+        structure_of(t)
+    with pytest.raises(ResourceLimitError, match="would produce 240 items"):
+        reconstruct(g)
 
 
 def test_reconstruct_roundtrip_labeled():
@@ -133,6 +170,23 @@ def test_reconstruct_rejects_surplus_triples():
     extra = g.triples | {("a", "c", "d"), ("c", "a", "d")}
     with pytest.raises(InconsistentTriplesError, match="inconsistent"):
         reconstruct(TripleStructure(g.domain, extra))
+
+
+def test_reconstruct_rejects_every_single_edit():
+    # For leaf positions p < q < r a plane tree orients {p, q} or {q, r}
+    # below the third leaf, never {p, r}: the subtree holding p and r holds
+    # q too. Flipping a 3-set to pr|q keeps the size, so it must be caught
+    # by the split rule or the re-encoding; the other edits change the size.
+    for n in range(3, 7):
+        for t in all_trees(n):
+            g = structure_of(labeled(t))
+            d = g.domain
+            for p, q, r in itertools.combinations(d, 3):
+                pair = {(p, q, r), (q, p, r)} if (p, q, r) in g.triples else {(q, r, p), (r, q, p)}
+                outer = {(p, r, q), (r, p, q)}
+                for triples in (g.triples - pair | outer, g.triples - pair, g.triples | outer):
+                    with pytest.raises(InconsistentTriplesError, match="inconsistent"):
+                        reconstruct(TripleStructure(d, triples))
 
 
 def test_restrict_validation():
