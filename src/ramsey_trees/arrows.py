@@ -141,6 +141,16 @@ def _search_arrow(
     order encounters; a node is one color tried for one variable. The time
     budget covers constraint construction too: running out before the search
     starts gives Unknown with 0 nodes.
+
+    The state is made of bitmasks over the variables: one per constraint
+    (its members), one of the assigned variables and one per color (the
+    variables holding it). When v gets color c, a constraint of v is
+    satisfied if it meets an assigned variable of another color, violated if
+    it has no unassigned member, and unit if it has one, whose domain then
+    loses c. The trail records only those domain changes. These are the
+    tests per-constraint counters of unassigned members and common color
+    would make, so the node counts and witnesses do not depend on the
+    representation.
     """
     elapsed_ms, expired = _clock(budget)
     try:
@@ -156,81 +166,43 @@ def _search_arrow(
         witness = Coloring(host, pattern, k, {c: 0 for c in variables})
         return ArrowVerdict("fails", witness, 0, elapsed_ms())
 
+    # one mask per constraint, shared by the lists of all its variables
     var_edges: list[list[int]] = [[] for _ in range(m)]
-    for ei, e in enumerate(edges):
+    for e in edges:
+        mask = 0
         for v in e:
-            var_edges[v].append(ei)
+            mask |= 1 << v
+        for v in e:
+            var_edges[v].append(mask)
     order = sorted(range(m), key=lambda v: (-len(var_edges[v]), v))
 
-    full = (1 << k) - 1
-    domain = [full] * m
+    domain = [(1 << k) - 1] * m
     domain[order[0]] = 1  # symmetry: the first decision variable gets color 0
-    color_of = [-1] * m
-    # edge state: count of unassigned vars; common color so far
-    # (-1 none assigned, -2 already two colors, i.e. satisfied)
-    e_unassigned = [len(e) for e in edges]
-    e_color = [-1] * len(edges)
-    trail: list[tuple[str, int, int]] = []
-
-    def assign(v: int, c: int) -> bool:
-        color_of[v] = c
-        ok = True
-        for ei in var_edges[v]:
-            e_unassigned[ei] -= 1
-            st = e_color[ei]
-            if st == -2:
-                continue
-            if st == -1:
-                trail.append(("c", ei, -1))
-                e_color[ei] = c
-                st = c
-            if st == c:
-                left = e_unassigned[ei]
-                if left == 0:
-                    ok = False  # fully assigned and monochromatic
-                elif left == 1:
-                    for u in edges[ei]:
-                        if color_of[u] < 0:
-                            bit = 1 << c
-                            old = domain[u]
-                            if old & bit:
-                                trail.append(("d", u, old))
-                                domain[u] = old & ~bit
-                                if domain[u] == 0:
-                                    ok = False
-                            break
-            else:
-                trail.append(("c", ei, st))
-                e_color[ei] = -2
-        return ok
-
-    def unassign(v: int, mark: int) -> None:
-        for ei in var_edges[v]:
-            e_unassigned[ei] += 1
-        while len(trail) > mark:
-            kind, idx, old = trail.pop()
-            if kind == "c":
-                e_color[idx] = old
-            else:
-                domain[idx] = old
-        color_of[v] = -1
+    color_of = [0] * m
+    colmask = [0] * k
+    assigned = 0
+    trail: list[tuple[int, int]] = []  # (variable, domain before the change)
 
     nodes = 0
     status = None
     v0 = order[0]
-    frames: list[list[int]] = [[v0, domain[v0], 0, 0]]  # var, mask, trail mark, assigned
+    frames: list[list[int]] = [[v0, domain[v0], 0]]  # var, untried colors, trail mark
     while frames:
         fr = frames[-1]
         v = fr[0]
-        if fr[3]:
-            unassign(v, fr[2])
-            fr[3] = 0
+        bit = 1 << v
+        if assigned & bit:
+            assigned ^= bit
+            colmask[color_of[v]] ^= bit
+            while len(trail) > fr[2]:
+                u, old = trail.pop()
+                domain[u] = old
         mask = fr[1]
         if mask == 0:
             frames.pop()
             continue
-        c = (mask & -mask).bit_length() - 1
-        fr[1] = mask & (mask - 1)
+        low = mask & -mask
+        fr[1] = mask ^ low
         nodes += 1
         if nodes > budget.max_nodes:
             status = "unknown"
@@ -240,14 +212,32 @@ def _search_arrow(
             status = "unknown"
             break
         fr[2] = len(trail)
-        fr[3] = 1
-        if not assign(v, c):
-            continue
-        if len(frames) == m:
-            status = "fails"
-            break
-        u = order[len(frames)]
-        frames.append([u, domain[u], 0, 0])
+        c = low.bit_length() - 1
+        color_of[v] = c
+        assigned |= bit
+        colmask[c] |= bit
+        other = assigned & ~colmask[c]
+        free = ~assigned
+        for e in var_edges[v]:
+            if e & other:
+                continue
+            rest = e & free
+            if not rest:
+                break  # fully assigned and monochromatic
+            if not rest & (rest - 1):
+                u = rest.bit_length() - 1
+                old = domain[u]
+                if old & low:
+                    trail.append((u, old))
+                    domain[u] = old ^ low
+                    if old == low:
+                        break
+        else:
+            if len(frames) == m:
+                status = "fails"
+                break
+            u = order[len(frames)]
+            frames.append([u, domain[u], 0])
 
     if status == "fails":
         assignment = {variables[i]: color_of[i] for i in range(m)}

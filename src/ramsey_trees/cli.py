@@ -35,7 +35,6 @@ from .arrows import (
     extract_mono_leafcolor,
     min_arrow_height_scan,
 )
-from . import selftest
 
 
 class _UsageError(Exception):
@@ -204,6 +203,8 @@ def _cmd_extract_k(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest  # imported here so that no other command pays for it
+
     summary = selftest.run(sys.stderr)
     _emit(summary)
     return 0 if summary["failed"] == 0 else 1

@@ -45,8 +45,9 @@ class PlaneTree:
             self.leaf_count = 1
             self.height = 0
             self._hash = hash(("leaf", label))
+        elif right is None:
+            raise ValueError("an internal vertex needs both children")
         else:
-            assert right is not None
             self.leaf_count = left.leaf_count + right.leaf_count
             self.height = 1 + max(left.height, right.height)
             self._hash = hash(("node", left._hash, right._hash, left.leaf_count))

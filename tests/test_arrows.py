@@ -1,6 +1,9 @@
 import ast
+import hashlib
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 import time
 
@@ -31,7 +34,8 @@ from ramsey_trees import (
     set_max_enumeration,
     set_max_leaves,
 )
-from ramsey_trees import arrows, embedding, triples
+import ramsey_trees
+from ramsey_trees import arrows
 from ramsey_trees.arrows import _arrow_edges
 from helpers import brute_arrow_edges, brute_arrow_status, check_witness
 
@@ -129,6 +133,47 @@ def test_check_arrow_budget_covers_construction():
     assert v.nodes == 0
 
 
+def test_search_arrow_pinned_path():
+    # The backtracker's variable order, color order, symmetry pin and
+    # pruning fix its search tree; a rewrite of its state must walk the
+    # same tree, so node counts and witnesses are pinned exactly.
+    p4, p2, mirror = perfect_tree(4), perfect_tree(2), parse_newick("(,(,))")
+    v = arrows._search_arrow(p4, CAT3, CHERRY, 3, SearchBudget(max_nodes=20_000))
+    assert (v.status, v.nodes) == ("fails", 3184)
+    colors = "".join(str(v.witness.assignment[c]) for c in sorted(v.witness.assignment))
+    assert colors == (
+        "000000000000000111111222222220222211111111222211111111000111111111"
+        "111111111022222222222222220000000111111022222222000110"
+    )
+    assert check_witness(p4, CAT3, v.witness)
+    for target, max_nodes in ((CAT3, 20_000), (mirror, 20_000), (p2, 5_000)):
+        v = arrows._search_arrow(p4, target, CHERRY, 2, SearchBudget(max_nodes=max_nodes))
+        assert (v.status, v.witness, v.nodes) == ("unknown", None, max_nodes), target
+    v = arrows._search_arrow(p4, p2, CAT3, 2, SearchBudget())
+    assert (v.status, v.nodes) == ("holds", 2)
+
+    hosts = [t for n in range(1, 7) for t in all_trees(n)] + [perfect_tree(3)]
+    targets = [t for n in range(1, 5) for t in all_trees(n)]
+    patterns = [t for n in range(2, 4) for t in all_trees(n)]
+    budget = SearchBudget(max_nodes=5_000)
+    digest = hashlib.sha256()
+    for host, target, pattern, k in itertools.product(hosts, targets, patterns, (1, 2, 3)):
+        v = arrows._search_arrow(host, target, pattern, k, budget)
+        witness = None if v.witness is None else sorted(v.witness.assignment.items())
+        digest.update(repr((v.status, v.nodes, witness)).encode())
+    assert digest.hexdigest() == "c7c66d44d0a7af605423db88b899f78e779858e6bc89758248198f8e208f8356"
+
+
+def test_search_arrow_time_budget():
+    # Construction takes a few ms; the budget runs out inside the search
+    # loop and is seen at one of its polls every 1024 nodes.
+    start = time.monotonic()
+    v = check_arrow(perfect_tree(4), perfect_tree(2), CHERRY, 2, SearchBudget(max_millis=30))
+    assert time.monotonic() - start < 1.0
+    assert (v.status, v.witness) == ("unknown", None)
+    assert 0 < v.nodes < 10_000_000
+
+
 def test_leaf_arrow_matches_search_oracle():
     # The constraint search decides leaf patterns too and is the oracle here;
     # on P3 and P4 hosts it may run out of nodes, where nothing is compared.
@@ -196,9 +241,12 @@ def test_leaf_arrow_on_deep_host():
 
 
 def test_arrows_has_no_assert():
-    # Witness checks, the triple constructor checks and the decoder's
-    # re-encoding check must keep running under python -O.
-    for module in (arrows, embedding, triples):
+    # Witness checks, constructor checks and the decoder's re-encoding check
+    # must keep running under python -O, in every module of the package.
+    names = [m.name for m in pkgutil.iter_modules(ramsey_trees.__path__)]
+    assert {"arrows", "embedding", "triples", "tree", "cli"} <= set(names)
+    for name in names:
+        module = importlib.import_module(f"ramsey_trees.{name}")
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], module

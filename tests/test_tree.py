@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from ramsey_trees import (
     ParseError,
+    PlaneTree,
     ResourceLimitError,
     all_trees,
     catalan,
@@ -82,6 +83,11 @@ def test_leaf_label_validation():
         leaf("a,b")
     with pytest.raises(ValueError):
         leaf(" padded ")
+
+
+def test_internal_vertex_needs_both_children():
+    with pytest.raises(ValueError, match="both children"):
+        PlaneTree(leaf(), None, None)
 
 
 def test_equality_includes_labels_iso_does_not():
