@@ -83,7 +83,17 @@ def _check_catalan() -> tuple[bool, str]:
             text = to_newick(t)
             if to_newick(parse_newick(text)) != text:
                 return False, f"round-trip changed {text!r}"
-    return True, "tree counts for 1..6 leaves and text round-trips"
+    for h in range(11):
+        # equal to T(h), with both children of each left-path vertex one
+        # object: then the path's h + 1 vertices are all its objects
+        t = parse_newick(to_newick(perfect_tree(h)))
+        if t != perfect_tree(h):
+            return False, f"re-parsed perfect tree of height {h} changed"
+        while not t.is_leaf:
+            if t.left is not t.right:
+                return False, f"re-parsed perfect tree of height {h} is not {h + 1} objects"
+            t = t.left
+    return True, "tree counts for 1..6 leaves, text round-trips, shared re-parsed perfect trees"
 
 
 def _check_copies() -> tuple[bool, str]:

@@ -14,18 +14,32 @@ Text form is a Newick-like grammar without the trailing semicolon:
 
 where a label is any nonempty text without "(", ")" or ",". Whitespace
 around tokens is ignored on parse and never emitted on serialization.
+
+Text I/O keeps the sharing the text shows. Parsing makes all anonymous
+leaves one object, and a vertex whose right child's text repeats its
+internal left child's byte for byte, directly followed by ")", gets that
+child object twice without reading the repeat. Parsing takes Python steps
+linear in the text at worst, and O(height) steps on a perfect tree's text,
+which comes back as height + 1 objects. Each repeat test is one comparison
+in C of at most the left child's text, so all of them together read at
+most height + 1 times the text's length in bytes. Printing writes the text
+of a vertex whose children are one object once and copies it, so a perfect
+tree also prints in O(height) steps.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 
 from .errors import ParseError
 from .limits import check_enumeration, check_leaves
 
-_SPECIAL = {ord("("), ord(")"), ord(",")}
-_WS = {ord(" "), ord("\t"), ord("\r"), ord("\n")}
+_OPEN, _CLOSE, _COMMA = b"(),"
+_WS = b" \t\r\n"
+_next_special = re.compile(rb"[(),]").search
+_skip_ws = re.compile(rb"[ \t\r\n]*").match
 
 
 class PlaneTree:
@@ -112,84 +126,114 @@ def node(left: PlaneTree, right: PlaneTree) -> PlaneTree:
 
 
 def parse_newick(text: str) -> PlaneTree:
-    """Parse the Newick-like text form; errors carry token and byte offset."""
+    """Parse the Newick-like text form; errors carry token and byte offset.
+
+    All anonymous leaves are one object. A vertex whose right child's text
+    is byte for byte its left child's, an internal vertex's, followed
+    directly by ")", gets the left child object twice, and that text is
+    not read again.
+    """
     data = text.encode("utf-8")
+    view = memoryview(data)
     n = len(data)
+    anon = PlaneTree(None, None, None)
+    # One frame per open "(": its offset in opens, and in lefts None while
+    # its left child is being read, then that finished child.
+    opens: list[int] = []
+    lefts: list[PlaneTree | None] = []
     i = 0
-
-    def skip_ws(i: int) -> int:
-        while i < n and data[i] in _WS:
-            i += 1
-        return i
-
-    # Explicit parse stack: None marks an open "(" whose left child is still
-    # being read; a PlaneTree is a finished left child awaiting ")".
-    stack: list[PlaneTree | None] = []
-    cur: PlaneTree | None = None
     while True:
         # read one TREE starting at i
-        i = skip_ws(i)
-        if i < n and data[i] == ord("("):
-            stack.append(None)
+        c = data[i] if i < n else None
+        if c == _OPEN:
+            opens.append(i)
+            lefts.append(None)
             i += 1
             continue
-        start = i
-        while i < n and data[i] not in _SPECIAL:
-            i += 1
-        raw = data[start:i].decode("utf-8").strip()
-        cur = leaf(raw or None)
-        # fold the finished subtree into the stack
+        if c == _COMMA or c == _CLOSE:
+            cur = anon
+        else:
+            m = _next_special(data, i)
+            end = m.start() if m else n
+            if end < n and data[end] == _OPEN and not data[i:end].strip(_WS):
+                i = end  # whitespace before "("
+                continue
+            label = data[i:end].decode("utf-8").strip()
+            cur = PlaneTree(None, None, label) if label else anon
+            i = end
+        # fold the finished subtree into the stack; an internal cur spans
+        # data[cur_start:cur_end]
         while True:
-            i = skip_ws(i)
-            if not stack:
+            if i < n and data[i] in _WS:
+                i = _skip_ws(data, i).end()
+            if not opens:
                 if i < n:
                     raise ParseError("trailing input after tree", chr(data[i]), i)
                 return cur
-            top = stack[-1]
-            if top is None:
+            left = lefts[-1]
+            if left is None:
                 if i >= n:
                     raise ParseError("unexpected end of input, expected ','", "end of input", i)
-                if data[i] != ord(","):
+                if data[i] != _COMMA:
                     raise ParseError("expected ','", chr(data[i]), i)
-                stack[-1] = cur
                 i += 1
+                if cur.left is not None:
+                    # A right child with cur's exact bytes parses to a tree
+                    # equal to cur; startswith on a view compares without a copy.
+                    j = _skip_ws(data, i).end()
+                    e = j + cur_end - cur_start
+                    if e < n and data[e] == _CLOSE and data.startswith(view[cur_start:cur_end], j):
+                        check_leaves(2 * cur.leaf_count)
+                        cur = PlaneTree(cur, cur, None)
+                        cur_start = opens.pop()
+                        lefts.pop()
+                        i = cur_end = e + 1
+                        continue
+                lefts[-1] = cur
                 break  # go parse the right child
             if i >= n:
                 raise ParseError("unexpected end of input, expected ')'", "end of input", i)
-            if data[i] != ord(")"):
+            if data[i] != _CLOSE:
                 raise ParseError("expected ')'", chr(data[i]), i)
-            stack.pop()
-            cur = node(top, cur)
-            i += 1
+            check_leaves(left.leaf_count + cur.leaf_count)
+            cur = PlaneTree(left, cur, None)
+            cur_start = opens.pop()
+            lefts.pop()
+            i = cur_end = i + 1
+
+
+def _write(t: PlaneTree, labels: bool) -> str:
+    """Text of t, leaf labels written iff labels; a vertex whose children
+    are one object writes that child's text once and copies it."""
+    out: list[str] = []
+    append = out.append
+    stack: list[PlaneTree | str | int] = [t]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            append(item)
+        elif kind is int:
+            # out[item:-1] is the left child's text, out[-1] the ","
+            append("".join(out[item:-1]))
+        elif item.left is None:
+            if labels and item.label is not None:
+                append(item.label)
+        else:
+            append("(")
+            right = len(out) if item.right is item.left else item.right
+            stack += (")", right, ",", item.left)
+    return "".join(out)
 
 
 def to_newick(t: PlaneTree) -> str:
     """Serialize; anonymous leaves render as empty labels, e.g. '(,)'."""
-    out: list[str] = []
-    stack: list[PlaneTree | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item.is_leaf:
-            if item.label is not None:
-                out.append(item.label)
-        else:
-            stack.extend((")", item.right, ",", item.left, "("))
-    return "".join(out)
+    return _write(t, True)
 
 
 def shape_key(t: PlaneTree) -> str:
     """Canonical label-free text form; equal keys are exactly the iso classes."""
-    out: list[str] = []
-    stack: list[PlaneTree | str] = [t]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif not item.is_leaf:
-            stack.extend((")", item.right, ",", item.left, "("))
-    return "".join(out)
+    return _write(t, False)
 
 
 def iso(a: PlaneTree, b: PlaneTree) -> bool:

@@ -58,7 +58,11 @@ class TripleStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
-        object.__setattr__(self, "triples", frozenset(map(tuple, self.triples)))
+        triples = self.triples
+        # A frozenset of tuples (what structure_of builds) is kept as given.
+        if not (type(triples) is frozenset and {*map(type, triples)} <= {tuple}):
+            triples = frozenset(map(tuple, triples))
+            object.__setattr__(self, "triples", triples)
         if not self.domain:
             raise ValueError("domain must be nonempty")
         seen = set()
@@ -69,8 +73,9 @@ class TripleStructure:
             seen.add(ident)
         # Whole-set checks; a loop looks for the offending triple only once
         # one has failed.
-        triples = self.triples
-        if not set(map(len, triples)) | set(map(len, map(set, triples))) <= {3}:
+        if not {*map(len, triples)} <= {3} or any(
+            a == b or b == c or a == c for a, b, c in triples
+        ):
             bad = next(t for t in triples if len(t) != 3 or len(set(t)) != 3)
             raise ValueError(f"triple must have three distinct entries: {bad!r}")
         if not seen.issuperset(chain.from_iterable(triples)):

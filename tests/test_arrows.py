@@ -33,6 +33,7 @@ from ramsey_trees import (
     prop21_witness,
     set_max_enumeration,
     set_max_leaves,
+    to_newick,
 )
 import ramsey_trees
 from ramsey_trees import arrows
@@ -67,6 +68,21 @@ def test_check_arrow_is_deterministic():
     a = check_arrow(perfect_tree(3), perfect_tree(2), CHERRY, 2)
     b = check_arrow(perfect_tree(3), perfect_tree(2), CHERRY, 2)
     assert (a.status, a.witness, a.nodes) == (b.status, b.witness, b.nodes)
+
+
+def test_leaf_arrow_same_on_parsed_host():
+    # The leaf DP memoizes on object identity; a parsed perfect tree shares
+    # its subtrees as perfect_tree does, so the DP walks the same states.
+    v = check_arrow(parse_newick(to_newick(perfect_tree(4))), CAT3, leaf(), 2)
+    assert (v.status, v.nodes) == ("holds", 5)
+    for h in range(1, 7):
+        built = perfect_tree(h)
+        parsed = parse_newick(to_newick(built))
+        for target in (CHERRY, CAT3, parse_newick("(,(,))"), perfect_tree(2)):
+            for k in (2, 3):
+                a = check_arrow(built, target, leaf(), k)
+                b = check_arrow(parsed, target, leaf(), k)
+                assert (a.status, a.witness, a.nodes) == (b.status, b.witness, b.nodes)
 
 
 def test_check_arrow_validates_k():

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +59,9 @@ def test_parse_ignores_whitespace_outside_labels():
         ("(a,b))", ")", 5),
         ("a,b", ",", 1),
         ("(a,b)x", "x", 5),
+        ("((a,b),(a,b)", "end of input", 12),
+        ("((a,b),(a,b))x", "x", 13),
+        ("((a,b),(a,b)x)", "x", 12),
     ],
 )
 def test_parse_errors_carry_token_and_byte_offset(text, token, offset):
@@ -66,9 +72,78 @@ def test_parse_errors_carry_token_and_byte_offset(text, token, offset):
     assert f"byte {offset}" in str(err.value)
 
 
+def test_parse_outcomes_are_pinned():
+    # Every text of at most 6 characters over "(),a", space, tab and U+00A0
+    # maps to its parse's Newick text or its error's (message, token,
+    # offset). U+00A0 pins two quirks: only ASCII whitespace is skipped
+    # between tokens, and labels are stripped with str.strip.
+    digest = hashlib.sha256()
+    for size in range(7):
+        for chars in itertools.product("(),a \t\u00a0", repeat=size):
+            text = "".join(chars)
+            try:
+                outcome = to_newick(parse_newick(text))
+            except ParseError as err:
+                outcome = (str(err), err.token, err.offset)
+            digest.update(f"{text!r}\t{outcome!r}\n".encode())
+    assert digest.hexdigest() == "ddede036ef512713b292d80a2fe0ff64f46cb9d94048a9305674c24e05bba01f"
+
+
 @given(trees)
 def test_newick_roundtrip(t):
     assert parse_newick(to_newick(t)) == t
+
+
+def _vertex_objects(t):
+    seen = set()
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        if id(v) not in seen:
+            seen.add(id(v))
+            if not v.is_leaf:
+                stack += (v.left, v.right)
+    return len(seen)
+
+
+def test_parse_shares_twin_subtrees():
+    for h in range(17):
+        t = parse_newick(to_newick(perfect_tree(h)))
+        assert t == perfect_tree(h)
+        assert _vertex_objects(t) == h + 1
+    plain = parse_newick("((a,b),(a,b))")
+    assert plain.left is plain.right
+    for text in ("( (a,b) ,(a,b) )", "((a,b) ,(a,b) )", "((a,b), (a,b))", "((a,b),(a,b) )"):
+        assert parse_newick(text) == plain
+    assert parse_newick("((a,b),(a,c))").right.right.label == "c"
+    spaced = parse_newick("(( ,x),\t)")
+    assert spaced.left.left is spaced.right and spaced.right.label is None
+
+
+def test_to_newick_of_shared_tree_matches_unshared_copy():
+    def unshared(t):  # rebuilt vertex by vertex, no two vertices one object
+        if t.is_leaf:
+            return PlaneTree(None, None, t.label)
+        return PlaneTree(unshared(t.left), unshared(t.right), None)
+
+    lab = parse_newick("((a,b),c)")
+    for t in (perfect_tree(6), iterate(lab, 3), substitute(perfect_tree(3), lab), node(lab, lab)):
+        copy = unshared(t)
+        assert _vertex_objects(copy) == 2 * t.leaf_count - 1
+        assert to_newick(t) == to_newick(copy)
+        assert shape_key(t) == shape_key(copy)
+
+
+def test_deep_spine_parses_and_prints():
+    # A left spine of 1500 cherries, depth 1500, all its cherries one object.
+    cherry = perfect_tree(1)
+    host = cherry
+    for _ in range(1499):
+        host = node(host, cherry)
+    text = to_newick(host)
+    assert len(text) == 1500 * 3 + 1499 * 3
+    t = parse_newick(text)
+    assert t == host and to_newick(t) == text
 
 
 def test_labeled_roundtrip_is_byte_identical():
@@ -148,9 +223,12 @@ def test_all_trees_counts_and_distinctness():
 
 
 def test_leaf_guard_blocks_big_constructions():
+    p4_text = to_newick(perfect_tree(4))
     set_max_leaves(8)
     with pytest.raises(ResourceLimitError):
         perfect_tree(4)
+    with pytest.raises(ResourceLimitError):
+        parse_newick(p4_text)
     with pytest.raises(ResourceLimitError):
         substitute(perfect_tree(2), perfect_tree(2))
     with pytest.raises(ResourceLimitError):

@@ -77,6 +77,10 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
         TripleStructure(("a", "b"), frozenset({("a", "a", "b"), ("a", "a", "b")}))
     with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
+        TripleStructure(("a", "b"), frozenset({("b", "a", "a")}))
+    with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
+        TripleStructure(("a", "b"), frozenset({("a", "b", "a")}))
+    with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
         TripleStructure(("a", "b", "c"), frozenset({("a", "b", "c", "a")}))
     with pytest.raises(ValueError, match="^triple must have three distinct entries: "):
         TripleStructure(("a", "b"), [["a", "b"], ["b", "a"]])
@@ -88,6 +92,13 @@ def test_constructor_validation():
         TripleStructure(("a", "a"), frozenset())
     with pytest.raises(ValueError):
         TripleStructure(("a,b",), frozenset())
+
+
+def test_constructor_keeps_tuples_and_converts_the_rest():
+    given = frozenset({("a", "b", "c"), ("b", "a", "c")})
+    assert TripleStructure(("a", "b", "c"), given).triples is given
+    for other in (frozenset({"abc", "bac"}), [["a", "b", "c"], ["b", "a", "c"]]):
+        assert TripleStructure(("a", "b", "c"), other).triples == given
 
 
 def _assert_matches_definition(t):
