@@ -12,7 +12,9 @@ without building the constraints.
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,8 +26,17 @@ from .coloring import Coloring, find_mono_copy, is_mono
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of one arrow query: a search stops once it has taken
+    max_nodes nodes, or once more than max_millis ms have passed."""
+
     max_nodes: int = 10_000_000
     max_millis: int = 60_000
+
+    def __post_init__(self):
+        for name in ("max_nodes", "max_millis"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -142,15 +153,23 @@ def _search_arrow(
     budget covers constraint construction too: running out before the search
     starts gives Unknown with 0 nodes.
 
-    The state is made of bitmasks over the variables: one per constraint
-    (its members), one of the assigned variables and one per color (the
-    variables holding it). When v gets color c, a constraint of v is
-    satisfied if it meets an assigned variable of another color, violated if
-    it has no unassigned member, and unit if it has one, whose domain then
-    loses c. The trail records only those domain changes. These are the
-    tests per-constraint counters of unassigned members and common color
-    would make, so the node counts and witnesses do not depend on the
-    representation.
+    The order is static. The search names each variable by its depth d in
+    it, so when d gets a color the assigned variables are exactly 0..d. A
+    constraint can therefore turn unit only at its second-to-last member:
+    before that it keeps two free members and nothing follows. It is
+    watched there alone, as the bitmask of its earlier members and its last
+    member u. When d gets color c and that mask meets no variable of another
+    color, u's domain loses c, and a domain left empty is a conflict. The
+    violation test at the last member, which a check of every constraint of
+    d would also make, can never fire: u cannot take c while that removal
+    stands, and it stands until the search backtracks above the
+    second-to-last member. Whether a node conflicts, and which domain
+    changes it leaves behind, do not depend on the order of the tests, and
+    the tests skipped could not act, so the node counts and witnesses are
+    those of testing every constraint of the variable. Per color there is
+    one bitmask of the variables holding it, the trail records only domain
+    changes, and the untried colors and trail marks are lists indexed by
+    depth.
     """
     elapsed_ms, expired = _clock(budget)
     try:
@@ -166,85 +185,96 @@ def _search_arrow(
         witness = Coloring(host, pattern, k, {c: 0 for c in variables})
         return ArrowVerdict("fails", witness, 0, elapsed_ms())
 
-    # one mask per constraint, shared by the lists of all its variables
-    var_edges: list[list[int]] = [[] for _ in range(m)]
+    degree = Counter(itertools.chain.from_iterable(edges))
+    order = sorted(range(m), key=lambda v: (-degree[v], v))
+    # From here on a variable is named by its depth d in the order.
+    bit = [1 << d for d in range(m)]
+    before = [b - 1 for b in bit]  # the variables before d
+    at = [0] * m  # at[v]: the bit of variable v's depth
+    for d, v in enumerate(order):
+        at[v] = bit[d]
+    # watch[d]: (mask of the earlier members, last member) per constraint
+    # whose second-to-last member is d
+    watch: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for e in edges:
         mask = 0
         for v in e:
-            mask |= 1 << v
-        for v in e:
-            var_edges[v].append(mask)
-    order = sorted(range(m), key=lambda v: (-len(var_edges[v]), v))
+            mask |= at[v]
+        last = mask.bit_length() - 1
+        mask ^= bit[last]
+        second = mask.bit_length() - 1
+        watch[second].append((mask ^ bit[second], last))
 
     domain = [(1 << k) - 1] * m
-    domain[order[0]] = 1  # symmetry: the first decision variable gets color 0
+    domain[0] = 1  # symmetry: the first decision variable gets color 0
     color_of = [0] * m
     colmask = [0] * k
-    assigned = 0
     trail: list[tuple[int, int]] = []  # (variable, domain before the change)
+    untried = [0] * m  # per depth: colors of d not yet tried
+    marks = [0] * m  # per depth: trail length before d got its color
+    max_nodes = budget.max_nodes
 
     nodes = 0
     status = None
-    v0 = order[0]
-    frames: list[list[int]] = [[v0, domain[v0], 0]]  # var, untried colors, trail mark
-    while frames:
-        fr = frames[-1]
-        v = fr[0]
-        bit = 1 << v
-        if assigned & bit:
-            assigned ^= bit
-            colmask[color_of[v]] ^= bit
-            while len(trail) > fr[2]:
+    d = 0
+    untried[0] = domain[0]
+    while True:
+        mask = untried[d]
+        if not mask:
+            # every color of d failed: uncolor d - 1
+            d -= 1
+            if d < 0:
+                break
+            colmask[color_of[d]] ^= bit[d]
+            mark = marks[d]
+            while len(trail) > mark:
                 u, old = trail.pop()
                 domain[u] = old
-        mask = fr[1]
-        if mask == 0:
-            frames.pop()
             continue
-        low = mask & -mask
-        fr[1] = mask ^ low
-        nodes += 1
-        if nodes > budget.max_nodes:
+        if nodes >= max_nodes:
             status = "unknown"
-            nodes -= 1
             break
+        nodes += 1
         if not nodes & 1023 and expired():
             status = "unknown"
             break
-        fr[2] = len(trail)
+        low = mask & -mask
+        untried[d] = mask ^ low
         c = low.bit_length() - 1
-        color_of[v] = c
-        assigned |= bit
-        colmask[c] |= bit
-        other = assigned & ~colmask[c]
-        free = ~assigned
-        for e in var_edges[v]:
+        color_of[d] = c
+        same = colmask[c]
+        other = before[d] ^ same
+        colmask[c] = same | bit[d]
+        mark = marks[d] = len(trail)
+        for e, u in watch[d]:
             if e & other:
                 continue
-            rest = e & free
-            if not rest:
-                break  # fully assigned and monochromatic
-            if not rest & (rest - 1):
-                u = rest.bit_length() - 1
-                old = domain[u]
-                if old & low:
-                    trail.append((u, old))
-                    domain[u] = old ^ low
-                    if old == low:
-                        break
+            old = domain[u]
+            if old & low:
+                trail.append((u, old))
+                domain[u] = old ^ low
+                if old == low:
+                    break
         else:
-            if len(frames) == m:
+            d += 1
+            if d == m:
                 status = "fails"
                 break
-            u = order[len(frames)]
-            frames.append([u, domain[u], 0])
+            untried[d] = domain[d]
+            continue
+        colmask[c] = same
+        while len(trail) > mark:
+            u, old = trail.pop()
+            domain[u] = old
 
     if status == "fails":
-        assignment = {variables[i]: color_of[i] for i in range(m)}
+        colors = [0] * m
+        for d, v in enumerate(order):
+            colors[v] = color_of[d]
         for e in edges:
-            if len({color_of[v] for v in e}) <= 1:
+            if len({colors[v] for v in e}) <= 1:
                 raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
-        witness = Coloring(host, pattern, k, assignment)
+        witness = Coloring(host, pattern, k, dict(zip(variables, colors)))
         return ArrowVerdict("fails", witness, nodes, elapsed_ms())
     if status == "unknown":
         return ArrowVerdict("unknown", None, nodes, elapsed_ms())

@@ -12,8 +12,11 @@ Text form is a Newick-like grammar without the trailing semicolon:
     TREE := LEAF | "(" TREE "," TREE ")"
     LEAF := label | <empty>
 
-where a label is any nonempty text without "(", ")" or ",". Whitespace
-around tokens is ignored on parse and never emitted on serialization.
+where a label is any nonempty text without "(", ")" or ",". ASCII space,
+tab, CR and LF around tokens are ignored on parse and never emitted on
+serialization; any other whitespace there is an error, also around a label,
+as leaf() rejects such a label. An error names the whole character, or the
+label, at its byte offset.
 
 Text I/O keeps the sharing the text shows. Parsing makes all anonymous
 leaves one object, and a vertex whose right child's text repeats its
@@ -158,7 +161,11 @@ def parse_newick(text: str) -> PlaneTree:
             if end < n and data[end] == _OPEN and not data[i:end].strip(_WS):
                 i = end  # whitespace before "("
                 continue
-            label = data[i:end].decode("utf-8").strip()
+            raw = data[i:end].strip(_WS)
+            label = raw.decode("utf-8")
+            if label.strip() != label:
+                at = data.index(raw, i)
+                raise ParseError("leaf label may not have surrounding whitespace", label, at)
             cur = PlaneTree(None, None, label) if label else anon
             i = end
         # fold the finished subtree into the stack; an internal cur spans
@@ -168,14 +175,14 @@ def parse_newick(text: str) -> PlaneTree:
                 i = _skip_ws(data, i).end()
             if not opens:
                 if i < n:
-                    raise ParseError("trailing input after tree", chr(data[i]), i)
+                    raise ParseError("trailing input after tree", _char_at(data, i), i)
                 return cur
             left = lefts[-1]
             if left is None:
                 if i >= n:
                     raise ParseError("unexpected end of input, expected ','", "end of input", i)
                 if data[i] != _COMMA:
-                    raise ParseError("expected ','", chr(data[i]), i)
+                    raise ParseError("expected ','", _char_at(data, i), i)
                 i += 1
                 if cur.left is not None:
                     # A right child with cur's exact bytes parses to a tree
@@ -194,12 +201,17 @@ def parse_newick(text: str) -> PlaneTree:
             if i >= n:
                 raise ParseError("unexpected end of input, expected ')'", "end of input", i)
             if data[i] != _CLOSE:
-                raise ParseError("expected ')'", chr(data[i]), i)
+                raise ParseError("expected ')'", _char_at(data, i), i)
             check_leaves(left.leaf_count + cur.leaf_count)
             cur = PlaneTree(left, cur, None)
             cur_start = opens.pop()
             lefts.pop()
             i = cur_end = i + 1
+
+
+def _char_at(data: bytes, i: int) -> str:
+    """The character whose UTF-8 encoding starts at byte i of data."""
+    return data[i : i + 4].decode("utf-8", "ignore")[0]
 
 
 def _write(t: PlaneTree, labels: bool) -> str:

@@ -180,6 +180,38 @@ def test_search_arrow_pinned_path():
     assert digest.hexdigest() == "c7c66d44d0a7af605423db88b899f78e779858e6bc89758248198f8e208f8356"
 
 
+def test_search_arrow_pinned_path_on_p4():
+    # 42 queries on P4: 17 fail, 18 hold and 7 run out of nodes. Targets of
+    # four leaves against the cherry give 6-member constraints, and k = 3
+    # gives failures deep in a real host's search tree.
+    p4 = perfect_tree(4)
+    targets = [t for n in (3, 4) for t in all_trees(n)]
+    patterns = [t for n in (2, 3) for t in all_trees(n)]
+    budget = SearchBudget(max_nodes=5_000)
+    digest = hashlib.sha256()
+    statuses = []
+    for target, pattern, k in itertools.product(targets, patterns, (2, 3)):
+        v = arrows._search_arrow(p4, target, pattern, k, budget)
+        statuses.append(v.status)
+        witness = None if v.witness is None else sorted(v.witness.assignment.items())
+        digest.update(repr((v.status, v.nodes, witness)).encode())
+    assert [statuses.count(s) for s in ("fails", "holds", "unknown")] == [17, 18, 7]
+    assert digest.hexdigest() == "69bfe52d14b245a00a2bc9279e70a96f5caa71374cfac97529e1febf803f2bde"
+
+
+def test_search_budget_validates_its_fields():
+    # nodes >= max_nodes stops the search, so a bool, negative or
+    # fractional budget would silently act as some integer; it is refused.
+    for bad in (-1, True, False, 2.5, "5", None):
+        with pytest.raises(ValueError):
+            SearchBudget(max_nodes=bad)
+        with pytest.raises(ValueError):
+            SearchBudget(max_millis=bad)
+    assert SearchBudget(0, 0) == SearchBudget(max_nodes=0, max_millis=0)
+    v = arrows._search_arrow(perfect_tree(4), CAT3, CHERRY, 2, SearchBudget(max_nodes=1))
+    assert (v.status, v.nodes) == ("unknown", 1)
+
+
 def test_search_arrow_time_budget():
     # Construction takes a few ms; the budget runs out inside the search
     # loop and is seen at one of its polls every 1024 nodes.

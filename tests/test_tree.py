@@ -48,6 +48,7 @@ def test_parse_anonymous_and_empty():
 def test_parse_ignores_whitespace_outside_labels():
     assert to_newick(parse_newick(" ( a , ( b , c ) ) ")) == "(a,(b,c))"
     assert to_newick(parse_newick("(a b,c)")) == "(a b,c)"  # inner spaces survive
+    assert to_newick(parse_newick("(a\u00a0b,\r\nc\t)")) == "(a\u00a0b,c)"
 
 
 @pytest.mark.parametrize(
@@ -62,6 +63,11 @@ def test_parse_ignores_whitespace_outside_labels():
         ("((a,b),(a,b)", "end of input", 12),
         ("((a,b),(a,b))x", "x", 13),
         ("((a,b),(a,b)x)", "x", 12),
+        ("(a,b)\u00a0", "\u00a0", 5),  # the whole character, not its first byte
+        ("(a,b)\u00e9", "\u00e9", 5),
+        ("(\u00a0(a,b),c)", "\u00a0", 1),  # only ASCII whitespace is skipped
+        ("(\u00a0a,b)", "\u00a0a", 1),
+        ("(a,b \u2003)", "b \u2003", 3),
     ],
 )
 def test_parse_errors_carry_token_and_byte_offset(text, token, offset):
@@ -75,8 +81,8 @@ def test_parse_errors_carry_token_and_byte_offset(text, token, offset):
 def test_parse_outcomes_are_pinned():
     # Every text of at most 6 characters over "(),a", space, tab and U+00A0
     # maps to its parse's Newick text or its error's (message, token,
-    # offset). U+00A0 pins two quirks: only ASCII whitespace is skipped
-    # between tokens, and labels are stripped with str.strip.
+    # offset). U+00A0 is not skipped, between tokens or around a label, and
+    # an error token is a whole character.
     digest = hashlib.sha256()
     for size in range(7):
         for chars in itertools.product("(),a \t\u00a0", repeat=size):
@@ -86,7 +92,7 @@ def test_parse_outcomes_are_pinned():
             except ParseError as err:
                 outcome = (str(err), err.token, err.offset)
             digest.update(f"{text!r}\t{outcome!r}\n".encode())
-    assert digest.hexdigest() == "ddede036ef512713b292d80a2fe0ff64f46cb9d94048a9305674c24e05bba01f"
+    assert digest.hexdigest() == "dc3f42c1651d1e2ce7c14443bad730d9166da6913abaed97392a0fab9c949bf3"
 
 
 @given(trees)
