@@ -20,7 +20,8 @@ from typing import Callable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick
-from .embedding import CopyRef, count_copies, enumerate_copies, induced_subtree
+from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
+from .limits import check_enumeration
 from .coloring import Coloring, find_mono_copy, is_mono
 
 
@@ -77,12 +78,15 @@ def _arrow_edges(
     leaves; that template is enumerated once and mapped through each copy.
     Returns (variables, edges); edges is None when the template has at most
     one copy and some H-copy exists, which makes the arrow hold under every
-    coloring. expired is polled every 1024 H-copies; when it returns True,
-    BudgetExhaustedError is raised.
+    coloring. The H-copies are charged to the enumeration cap by count and
+    read from the copy stream, never all held; expired is polled every 1024
+    of them (not while the stream builds a right-part list) and, when it
+    returns True, BudgetExhaustedError is raised.
     """
     variables = enumerate_copies(host, pattern)
-    h_copies = enumerate_copies(host, target)
-    if not h_copies:
+    n_h = count_copies(host, target)
+    check_enumeration(n_h)
+    if not n_h:
         # a target with no copies may be larger than the host: its template
         # is not needed and could exceed the enumeration cap
         return variables, []
@@ -91,7 +95,7 @@ def _arrow_edges(
         return variables, None
     var_index = {c: i for i, c in enumerate(variables)}
     edges: set[tuple[int, ...]] = set()
-    for n, hc in enumerate(h_copies):
+    for n, hc in enumerate(_copies(host, target)):
         if not n & 1023 and expired():
             raise BudgetExhaustedError("time budget ran out during constraint construction")
         # relabeling through the increasing hc keeps lexicographic order, so
@@ -340,7 +344,7 @@ def _leaf_arrow(
     leaves of that color. A shape embeds in a vertex's leaves of one color
     when it embeds in one child's or splits at the vertex, its left child
     shape into the left child and its right into the right (the split rule
-    of embedding._dp). Colors are interchangeable, so states are kept
+    of count_copies). Colors are interchangeable, so states are kept
     sorted; a vertex's states combine each pair of child states under every
     distinct rearrangement of the right one, and a state in which the whole
     target embeds is dropped. The arrow fails iff the root keeps a state,

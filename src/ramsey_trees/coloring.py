@@ -6,10 +6,9 @@ pattern-copies whose leaves lie inside it share one color; a region with no
 pattern-copies at all counts as monochromatic with sentinel color -1.
 
 find_mono_copy and find_psi_mono return the lexicographically least
-qualifying copy of a target. Both search the host by the split rule of copy
-counting and stop at the first hit (embedding._least_copy); neither lists
-all copies of the target, so the enumeration cap counts only the lists of
-the target's root children that the search builds.
+qualifying copy of a target: the first that the lazy copy stream
+(embedding._copies) offers. Neither lists all copies of the target, so the
+enumeration cap counts only the lists the stream builds on the way.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import FormatError
 from .tree import PlaneTree, leaf, parse_newick, to_newick
 from .embedding import (
     CopyRef,
-    _least_copy,
+    _copies,
     _parting,
     enumerate_copies,
     induced_subtree,
@@ -133,17 +132,15 @@ def _least_within(
     host: PlaneTree, region: CopyRef | None, target: PlaneTree, accept
 ) -> CopyRef | None:
     """The least copy of target inside region (the whole host if None) that
-    passes accept, in host positions: the copies of the tree region induces,
-    mapped through region (increasing, so the order is kept)."""
+    passes accept, in host positions: the first the copy stream offers, so
+    accept sees the copies before it in order, once each. Inside a region
+    the stream runs over the tree region induces, mapped through region,
+    which is increasing and so keeps the order."""
     if region is None or len(region) == host.leaf_count:
-        # the host itself keeps its shared subtrees, which the search reuses
-        return _least_copy(host, target, accept)
-    found = _least_copy(
-        induced_subtree(host, region),
-        target,
-        lambda c: accept(tuple([region[i] for i in c])),
-    )
-    return None if found is None else tuple([region[i] for i in found])
+        # the host itself keeps its shared subtrees, which the stream reuses
+        return next(filter(accept, _copies(host, target)), None)
+    inside = _copies(induced_subtree(host, region), target)
+    return next(filter(accept, (tuple([region[i] for i in c]) for c in inside)), None)
 
 
 def _agreement(target: PlaneTree, pattern: PlaneTree, value):
@@ -182,11 +179,11 @@ def find_mono_copy(
     up directly; the color is -1 when the template is empty, as in is_mono.
     Returns None if no copy of target is monochromatic.
 
-    The candidates come from a search that stops at the first hit
-    (embedding._least_copy), so the list of all copies of target is never
-    built: the enumeration cap counts only the lists of target's two root
-    children that the search builds, and an answer found early is cheap.
-    When no copy qualifies, every copy is still checked once.
+    The candidates are read in order from the copy stream, up to the first
+    hit, so an answer found early is cheap and the list of all copies of
+    target is never built: the enumeration cap counts only the lists of
+    subpatterns the stream builds before the hit. When no copy qualifies,
+    every copy is still checked once.
     """
     if region is not None:
         region = validate_copy(chi.host, region)
@@ -266,9 +263,9 @@ def find_psi_mono(
     pattern-child copies (left child if side='left', else right) have equal
     fusion images against partner; None if no copy qualifies.
 
-    The candidates come from the same stop-at-first-hit search as
-    find_mono_copy, and a child-copy's fusion image is computed only when a
-    candidate holds it, as a tuple of colors in partner-copy order."""
+    The candidates come from the copy stream, as in find_mono_copy, and a
+    child-copy's fusion image is computed only when a candidate holds it,
+    as a tuple of colors in partner-copy order."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     region = validate_copy(chi.host, region)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from itertools import chain
 
 from .errors import FormatError
 from .limits import check_enumeration
@@ -131,178 +132,170 @@ def is_copy(host: PlaneTree, leaves, pattern: PlaneTree) -> bool:
     return iso(induced_subtree(host, s), pattern)
 
 
-def _dp(host: PlaneTree, pattern: PlaneTree, on_leaf_pattern, on_leaf_host, combine, memo=None):
-    """Shared bottom-up recursion over (host subtree, pattern subtree) pairs.
+def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
+    """Number of copies of pattern in host (exact arbitrary-precision count).
 
     A copy of an internal pattern either sits inside one child of the host
     root or splits at it (left pattern child into the left host child, right
-    into right). Memoized on object identity, which is sound because results
-    depend only on subtree values and equal objects are equal values. A memo
-    passed in is shared with other calls that use the same callbacks on
-    trees that stay alive meanwhile.
+    into right). Counts are memoized on object identity, sound as a count
+    depends only on subtree values: shared subtrees are counted once.
     """
-    memo = {} if memo is None else memo
+    return _tally({}, host, pattern)
+
+
+def _tally(memo: dict[tuple[int, int], int], host: PlaneTree, pattern: PlaneTree) -> int:
+    """count_copies on a memo that the copy stream keeps between calls."""
     stack = [(host, pattern)]
     while stack:
-        t, p = stack[-1]
+        t, p = stack.pop()
         key = (id(t), id(p))
         if key in memo:
-            stack.pop()
             continue
-        if p.is_leaf:
-            memo[key] = on_leaf_pattern(t)
-            stack.pop()
-            continue
-        if t.is_leaf:
-            memo[key] = on_leaf_host()
-            stack.pop()
+        if p.is_leaf or p.leaf_count > t.leaf_count:
+            memo[key] = t.leaf_count if p.is_leaf else 0
             continue
         deps = ((t.left, p), (t.right, p), (t.left, p.left), (t.right, p.right))
-        ready = True
-        for dep in deps:
-            if (id(dep[0]), id(dep[1])) not in memo:
-                stack.append(dep)
-                ready = False
-        if ready:
-            vals = [memo[(id(a), id(b))] for a, b in deps]
-            memo[key] = combine(t, *vals)
-            stack.pop()
-    return memo[(id(host), id(pattern))]
+        missing = [d for d in deps if (id(d[0]), id(d[1])) not in memo]
+        if missing:
+            stack += [(t, p), *missing]
+            continue
+        in_l, in_r, cr_l, cr_r = [memo[id(a), id(b)] for a, b in deps]
+        memo[key] = in_l + in_r + cr_l * cr_r
+    return memo[id(host), id(pattern)]
 
 
-def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
-    """Number of copies of pattern in host (exact arbitrary-precision count)."""
-    return _dp(
-        host,
-        pattern,
-        on_leaf_pattern=lambda t: t.leaf_count,
-        on_leaf_host=lambda: 0,
-        combine=lambda t, in_l, in_r, cr_l, cr_r: in_l + in_r + cr_l * cr_r,
-    )
+def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: dict):
+    """Lists of the copies of an internal p in t, in t's positions and in
+    lexicographic order; a pair (w, r) instead when it needs the copies of r
+    in a subtree w that lists, keyed (id(w), id(r)), lacks.
+
+    Let r_1, ..., r_L be the right children up p's left spine, lowest first.
+    A copy is a first leaf a and, for each i, a copy of r_i in the right
+    child of u_i, where u_1, ..., u_L are ancestors of a, rising strictly,
+    that each hold a in their left child. The right child of a lower such
+    ancestor lies further left, so the copies come in order when a rises,
+    then u_1, then r_1's part, then u_2, and so on: no merge and no sort.
+    One walk over the leaves keeps the current leaf's path, and the parts in
+    each right child on it, shifted to t's positions once. Which ancestors
+    hold a part is read from counts, a count_copies memo, so an ancestor is
+    tried at a level only if the levels above can still be filled, and a
+    part is listed only when the walk reaches it. A batch is the copies with
+    one prefix and one part at the last level.
+    """
+    last = t.leaf_count - p.leaf_count  # the last leaf a copy can start at
+    rights = []
+    while not p.is_leaf:
+        rights.append(p.right)
+        p = p.left
+    rights.reverse()
+    top = len(rights) - 1
+    # path: (right child, its first position) of each ancestor holding the
+    # current leaf in its left child, highest first. parts[j][q]: the copies
+    # of rights[j] there in t's positions, None until needed; leaf patterns
+    # share one column.
+    path: list[tuple[PlaneTree, int]] = []
+    columns: dict[int | None, list] = {}
+    parts = [columns.setdefault(None if r.is_leaf else id(r), []) for r in rights]
+
+    def holds(j: int, q: int) -> bool:
+        w, r = path[q][0], rights[j]
+        return r.is_leaf or counts.get((id(w), id(r))) or _tally(counts, w, r) > 0
+
+    def fill(j: int, q: int):
+        (w, off), r = path[q], rights[j]
+        if r.is_leaf:
+            parts[j][q] = [(x,) for x in range(off, off + w.leaf_count)]
+        else:
+            if (id(w), id(r)) not in lists:
+                yield w, r
+            parts[j][q] = [tuple([x + off for x in c]) for c in lists[id(w), id(r)]]
+        return parts[j][q]
+
+    leaves = [(t, 0, 0)]
+    while leaves:
+        v, lo, depth = leaves.pop()
+        if lo > last:
+            return
+        del path[depth:]
+        for col in columns.values():
+            del col[depth:]
+        while not v.is_leaf:
+            mid = lo + v.left.leaf_count
+            leaves.append((v.right, mid, len(path)))
+            path.append((v.right, mid))
+            for col in columns.values():
+                col.append(None)
+            v = v.left
+        m = len(path)
+        # floor[j]: level j sits strictly below the highest ancestor that
+        # can take level j + 1 with the levels above it; floor[top + 1] = 0
+        floor = [0] * (top + 2)
+        for j in range(top, -1, -1):
+            q = floor[j + 1]
+            while q < m and not holds(j, q):
+                q += 1
+            if q == m:
+                break  # no copy starts at this leaf
+            floor[j] = q + 1
+        else:
+            # frames (level, copy so far, path index to try next, at least
+            # floor[level + 1]), the lowest ancestor first
+            frames = [(0, (lo,), m - 1)]
+            while frames:
+                j, pre, q = frames.pop()
+                if q > floor[j + 1]:
+                    frames.append((j, pre, q - 1))
+                if not holds(j, q):
+                    continue
+                col = parts[j][q] or (yield from fill(j, q))
+                if j == top:
+                    yield [pre + c for c in col]
+                else:
+                    frames += [(j + 1, pre + c, q - 1) for c in reversed(col)]
 
 
-def _copy_lister():
-    """A function (t, p) -> the copies of p in t, a lexicographically ordered
-    tuple in t's own positions. All its calls share one memo, keyed by
-    object identity, and one running charge against the enumeration cap:
-    the total number of copy tuples materialized across all subproblems."""
-    memo: dict[tuple[int, int], object] = {}
-    budget = [0]
+def _copies(host: PlaneTree, pattern: PlaneTree):
+    """The copies of pattern in host, lazily, in lexicographic order.
 
-    def charge(items: list) -> tuple:
-        budget[0] += len(items)
-        check_enumeration(budget[0])
-        return tuple(items)
+    One _walk over the host yields them. The copy lists it asks for are built
+    by further walks, run from an explicit stack, so no Python recursion
+    grows with the host or the pattern; they are memoized on object
+    identity, so shared subtrees are listed once, and their running total
+    is charged to the enumeration cap. The copies yielded are not charged.
+    """
+    if pattern.is_leaf:
+        return ((i,) for i in range(host.leaf_count))
+    lists: dict[tuple[int, int], list[CopyRef]] = {}
+    counts: dict[tuple[int, int], int] = {}
 
-    def on_leaf_pattern(t: PlaneTree) -> tuple:
-        return charge([(i,) for i in range(t.leaf_count)])
+    def batches():
+        charged = 0
+        frames = [(_walk(host, pattern, lists, counts), None, None)]
+        while frames:
+            walk, key, out = frames[-1]
+            for item in walk:
+                if item.__class__ is tuple:  # a missing list: build it first
+                    frames.append((_walk(*item, lists, counts), (id(item[0]), id(item[1])), []))
+                    break
+                if out is None:
+                    yield item
+                else:
+                    charged += len(item)
+                    check_enumeration(charged)
+                    out += item
+            else:
+                frames.pop()
+                if out is not None:
+                    lists[key] = out
 
-    def combine(t: PlaneTree, in_l, in_r, cr_l, cr_r) -> tuple:
-        nl = t.left.leaf_count
-        items = list(in_l)
-        items.extend([tuple([x + nl for x in c]) for c in in_r])
-        shifted = [tuple([x + nl for x in rc]) for rc in cr_r]
-        items.extend([lc + rc for lc in cr_l for rc in shifted])
-        items.sort()
-        return charge(items)
-
-    def lists(t: PlaneTree, p: PlaneTree) -> tuple:
-        return _dp(t, p, on_leaf_pattern, lambda: (), combine, memo)
-
-    return lists
+    return chain.from_iterable(batches())
 
 
 def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
     """All copies of pattern in host, lexicographically ordered.
 
-    Guarded by the global enumeration cap; the guard bounds the total number
-    of copy tuples materialized across all subproblems, not just the result.
+    Guarded by the global enumeration cap, which bounds the result and,
+    separately, the copy lists the stream builds on the way (_copies).
     """
     check_enumeration(count_copies(host, pattern))
-    return list(_copy_lister()(host, pattern))
-
-
-def _least_copy(host: PlaneTree, target: PlaneTree, accept) -> CopyRef | None:
-    """The lexicographically least copy of target in host that passes accept,
-    or None; the root's list of copies is never built.
-
-    By the split rule of _dp, the copies under a vertex lie inside its left
-    child, split at it (a copy of target.left in the left child joined with
-    one of target.right in the right child), or lie inside its right child,
-    and the last kind are greater than the other two. So the search finds
-    the best copy inside the left child first, then scans the split copies
-    in lexicographic order (each left part with every right part) until one
-    passes or the left part reaches the left child's best, and descends
-    into the right child only if neither found a copy. The split parts come
-    from one _copy_lister shared by the whole search, so their lists count
-    against the enumeration cap and shared subtrees are listed once; a single
-    leaf's copies are generated, not listed. A split is listed only when the
-    least copy of each part exists and the left part's comes before the left
-    child's best, which a memoized DP finds without lists. The walk is
-    iterative.
-    """
-    m = target.leaf_count
-    lists = _copy_lister()
-    firsts: dict[tuple[int, int], object] = {}
-
-    def least(t: PlaneTree, in_l, in_r, cr_l, cr_r) -> CopyRef | None:
-        nl = t.left.leaf_count
-        if cr_l is not None and cr_r is not None:
-            cross = cr_l + tuple([x + nl for x in cr_r])
-            if in_l is None or cross < in_l:
-                return cross
-        if in_l is not None:
-            return in_l
-        return None if in_r is None else tuple([x + nl for x in in_r])
-
-    def first(t: PlaneTree, p: PlaneTree) -> CopyRef | None:
-        """The least copy of p in t, in t's positions, or None; no list is built."""
-        return _dp(t, p, lambda t: (0,), lambda: None, least, firsts)
-
-    def listed(t: PlaneTree, p: PlaneTree):
-        return ((i,) for i in range(t.leaf_count)) if p.is_leaf else lists(t, p)
-
-    def split(v: PlaneTree, lo: int, bound: CopyRef | None) -> CopyRef | None:
-        head, tail = first(v.left, target.left), first(v.right, target.right)
-        if head is None or tail is None:
-            return None
-        prefix = None if bound is None else bound[: len(head)]
-        if prefix is not None and tuple([x + lo for x in head]) >= prefix:
-            return None  # checked before any list is built
-        off = lo + v.left.leaf_count
-        rights = None
-        for lc in listed(v.left, target.left):
-            lc = tuple([x + lo for x in lc])
-            if prefix is not None and lc >= prefix:
-                return None  # every later split copy is past the left child's best
-            if rights is None:
-                rights = [tuple([x + off for x in rc]) for rc in listed(v.right, target.right)]
-            for rc in rights:
-                cand = lc + rc
-                if accept(cand):
-                    return cand
-        return None
-
-    # frames (vertex, offset, stage): stage 0 descends into the left child,
-    # stage 1 receives its best in `found`; the right child replaces its
-    # parent's frame, so its result is the parent's.
-    found: CopyRef | None = None
-    stack = [(host, 0, 0)]
-    while stack:
-        v, lo, stage = stack.pop()
-        if stage == 0:
-            if v.leaf_count < m:
-                found = None
-            elif v.is_leaf:
-                found = (lo,) if accept((lo,)) else None
-            else:
-                stack.append((v, lo, 1))
-                stack.append((v.left, lo, 0))
-            continue
-        if not target.is_leaf:
-            best = split(v, lo, found)
-            if best is not None:
-                found = best
-        if found is None:
-            stack.append((v.right, lo + v.left.leaf_count, 0))
-    return found
+    return list(_copies(host, pattern))

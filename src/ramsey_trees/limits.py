@@ -1,10 +1,11 @@
 """Global size guards.
 
 Tree constructors refuse to build trees with more than max_leaves() leaves,
-and every operation that materializes a combinatorial family (copy
-enumeration, triple sets) refuses to produce more than max_enumeration()
-items. Both are process-global knobs; the CLI seeds max_leaves from the
-RAMSEY_MAX_LEAVES environment variable.
+and every operation that materializes a combinatorial family refuses to
+produce more than max_enumeration() items: a copy list or triple set by its
+size, the lazy copy stream by the running total of the lists it builds on
+the way, not the copies it yields. Both are process-global knobs; the CLI
+seeds max_leaves from the RAMSEY_MAX_LEAVES environment variable.
 """
 
 from __future__ import annotations

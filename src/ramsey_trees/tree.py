@@ -136,7 +136,11 @@ def parse_newick(text: str) -> PlaneTree:
     directly by ")", gets the left child object twice, and that text is
     not read again.
     """
-    data = text.encode("utf-8")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as e:  # a lone surrogate, as from undecodable bytes
+        at = len(text[: e.start].encode("utf-8"))
+        raise ParseError("character not encodable as UTF-8", text[e.start], at) from None
     view = memoryview(data)
     n = len(data)
     anon = PlaneTree(None, None, None)

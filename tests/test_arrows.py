@@ -6,6 +6,7 @@ import json
 import pkgutil
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -147,6 +148,28 @@ def test_check_arrow_budget_covers_construction():
     assert v.status == "unknown"
     assert v.witness is None
     assert v.nodes == 0
+
+
+def test_budget_stops_h_copy_listing():
+    # The H-copies are read from the stream between polls, never listed all
+    # at once: with the budget out at the first poll, building the
+    # constraints of P6 -> (P2)^cherry stops before it holds more than one
+    # batch of its 278,256 4-tuples (about 25 MB when listed).
+    polls = []
+
+    def expired():
+        polls.append(None)
+        return True
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExhaustedError, match="constraint construction"):
+            _arrow_edges(perfect_tree(6), perfect_tree(2), CHERRY, expired)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(polls) == 1
+    assert peak < 2_000_000
 
 
 def test_search_arrow_pinned_path():

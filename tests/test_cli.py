@@ -82,6 +82,10 @@ def test_parse_errors_carry_byte_offsets(capsys):
     rc, _, err = run(capsys, "encode", "(a,b))")
     assert rc == 1
     assert "')' at byte 5" in err
+    # a non-UTF-8 argument byte arrives as a lone surrogate
+    rc, _, err = run(capsys, "copies", "(a,\udcff)", "(,)")
+    assert rc == 1
+    assert "not encodable as UTF-8: '\\udcff' at byte 3" in err
 
 
 def test_encode_decode_roundtrip(capsys, tmp_path):

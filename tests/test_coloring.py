@@ -198,6 +198,28 @@ def test_find_mono_copy_on_deep_host():
     assert find_mono_copy(alternating, parse_newick("(,(,))")) is None
 
 
+def test_find_mono_copy_on_alternating_spine():
+    # A left spine of 1500 cherries colored 0,1,0,1,...: the least cherry
+    # (0,1) is not monochromatic, so the least caterpillar is (0,2,4). The
+    # stream reaches it after a few thousand copies; the caterpillar's spine
+    # holds only leaves, so it builds no list to charge to the cap.
+    host = CHERRY
+    for _ in range(1499):
+        host = node(host, CHERRY)
+    chi = Coloring.from_leaf_colors(host, [i % 2 for i in range(3000)], 2)
+    assert find_mono_copy(chi, CAT3) == ((0, 2, 4), 0)
+
+
+def test_find_mono_copy_answers_early_on_large_host():
+    # The first copy is the answer; the stream must not list the parts in
+    # the host's right half first (the cherries of P11 alone are 2,096,128,
+    # over the default cap), only those the walk reaches before it.
+    chi = Coloring.from_leaf_colors(perfect_tree(12), [0] * 4096, 1)
+    assert find_mono_copy(chi, perfect_tree(2)) == ((0, 1, 2, 3), 0)
+    chi = Coloring.from_leaf_colors(perfect_tree(8), [0] * 256, 1)
+    assert find_mono_copy(chi, parse_newick("(,((,),(,)))")) == ((0, 4, 5, 6, 7), 0)
+
+
 def test_find_mono_copy_under_enumeration_cap():
     # P5 holds 16,120 copies of P2, over a cap of 2000; the search lists
     # only the cherries of P5's subtrees and still finds the least copy.

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ramsey_trees import (
     FormatError,
+    ResourceLimitError,
     all_trees,
     count_copies,
     enumerate_copies,
@@ -18,10 +19,12 @@ from ramsey_trees import (
     parse_copy,
     parse_newick,
     perfect_tree,
+    set_max_enumeration,
     to_newick,
     validate_copy,
 )
-from ramsey_trees.embedding import _least_copy
+from ramsey_trees.coloring import _least_within
+from ramsey_trees.embedding import _copies
 from helpers import brute_copies, naive_induced_shape, naive_shape, perfect_induced_shape
 
 trees = st.recursive(
@@ -190,9 +193,10 @@ def test_least_copy_matches_subset_oracle():
                     return c in passed
 
                 want = min(passed, default=None)
-                assert _least_copy(host, target, accept) == want, (host, target, share)
-                # only copies are tried, each at most once
-                assert len(set(asked)) == len(asked) and set(asked) <= set(copies)
+                assert _least_within(host, None, target, accept) == want, (host, target, share)
+                # exactly the copies up to the answer are tried, in order, once each
+                tried = copies if want is None else copies[: copies.index(want) + 1]
+                assert asked == tried, (host, target, share)
 
 
 def test_deep_host_does_not_hit_recursion_limits():
@@ -207,3 +211,31 @@ def test_deep_host_does_not_hit_recursion_limits():
     for a, b in [(0, 1), (0, 3001)] + [sorted(rng.sample(range(3002), 2)) for _ in range(50)]:
         assert leaf_lca_depth(t, a, b) == 3002 - 1 - b
     assert count_copies(t, perfect_tree(1)) == 3002 * 3001 // 2
+
+
+def _comb(n, side):
+    t = leaf()
+    for _ in range(n - 1):
+        t = node(t, leaf()) if side == "left" else node(leaf(), t)
+    return t
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_pattern_in_itself(side):
+    # one copy, found without Python recursion per pattern level
+    c = _comb(1100, side)
+    assert enumerate_copies(c, c) == [tuple(range(1100))]
+
+
+def test_stream_charges_only_the_lists_it_builds():
+    # In P6, the copies of ((,),(,)) need the cherries of the right children,
+    # one list per height as the host shares its subtrees: 496 + 120 + 28 +
+    # 6 + 1 = 651 items. The 278,256 copies streamed are not charged, and a
+    # pattern whose spine holds only leaves builds no list.
+    host, pattern = perfect_tree(6), parse_newick("((,),(,))")
+    set_max_enumeration(650)
+    with pytest.raises(ResourceLimitError):
+        list(_copies(host, pattern))
+    assert sum(1 for _ in _copies(host, parse_newick("((,),)"))) == 20832
+    set_max_enumeration(651)
+    assert sum(1 for _ in _copies(host, pattern)) == 278256

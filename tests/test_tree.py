@@ -68,6 +68,8 @@ def test_parse_ignores_whitespace_outside_labels():
         ("(\u00a0(a,b),c)", "\u00a0", 1),  # only ASCII whitespace is skipped
         ("(\u00a0a,b)", "\u00a0a", 1),
         ("(a,b \u2003)", "b \u2003", 3),
+        ("(a,\udcff)", "\udcff", 3),  # a lone surrogate is not UTF-8
+        ("(\u00e9,\ud800)", "\ud800", 4),
     ],
 )
 def test_parse_errors_carry_token_and_byte_offset(text, token, offset):
