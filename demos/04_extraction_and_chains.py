@@ -23,17 +23,17 @@ from ramsey_trees import (
     leaf,
     parse_newick,
     perfect_tree,
-    prop21_witness,
     psi_map,
     to_newick,
 )
 
 cherry = parse_newick("(,)")
 
-# iterate(h, k) arrows h under ANY k-coloring of single leaves, and the
-# block-descent extractor realizes the copy. With h = cherry and k = 2 the
-# host is T(2); leaves colored 0,1,0,1 give the mono cherry {0,2}.
-host = prop21_witness(cherry, 2)
+# The k-fold self-substitution iterate(h, k) arrows h under ANY k-coloring
+# of single leaves, and the block-descent extractor realizes the copy. With
+# h = cherry and k = 2 the host is T(2); leaves colored 0,1,0,1 give the
+# mono cherry {0,2}.
+host = iterate(cherry, 2)
 print("witness host:", to_newick(host))
 chi = Coloring.from_leaf_colors(host, [0, 1, 0, 1], 2)
 copy, color = extract_mono_leafcolor(cherry, 2, host, chi)

@@ -68,9 +68,7 @@ from .arrows import (
     check_arrow,
     extract_mono_k,
     extract_mono_leafcolor,
-    min_arrow_height,
     min_arrow_height_scan,
-    prop21_witness,
 )
 
 __version__ = "0.1.0"
@@ -110,13 +108,11 @@ __all__ = [
     "leaf_lca_depth",
     "max_enumeration",
     "max_leaves",
-    "min_arrow_height",
     "min_arrow_height_scan",
     "node",
     "parse_copy",
     "parse_newick",
     "perfect_tree",
-    "prop21_witness",
     "psi_map",
     "reconstruct",
     "restrict",

@@ -21,7 +21,7 @@ from typing import Callable
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick
 from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
-from .limits import check_enumeration
+from .limits import _require_int, check_enumeration
 from .coloring import Coloring, find_mono_copy, is_mono
 
 
@@ -35,9 +35,7 @@ class SearchBudget:
 
     def __post_init__(self):
         for name in ("max_nodes", "max_millis"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            _require_int(name, getattr(self, name), 0)
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -119,8 +117,7 @@ def check_arrow(
     are deterministic, verify every witness they return, and answer Unknown
     when the budget runs out.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"number of colors must be a positive integer, got {k!r}")
+    _require_int("number of colors", k)
     budget = budget or DEFAULT_BUDGET
     if pattern.is_leaf:
         return _leaf_arrow(host, target, pattern, k, budget)
@@ -508,29 +505,14 @@ def min_arrow_height_scan(
     return None, scan
 
 
-def min_arrow_height(
-    target: PlaneTree,
-    pattern: PlaneTree,
-    k: int,
-    budget: SearchBudget | None = None,
-    max_height: int | None = None,
-) -> int | None:
-    return min_arrow_height_scan(target, pattern, k, budget, max_height)[0]
-
-
-def prop21_witness(h: PlaneTree, k: int) -> PlaneTree:
-    """The k-fold self-substitution iterate(h, k): it arrows (h) under leaf
-    colorings with k colors, and extract_mono_leafcolor realizes the copy."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"number of colors must be a positive integer, got {k!r}")
-    return iterate(h, k)
-
-
 def extract_mono_leafcolor(
     h: PlaneTree, j: int, host: PlaneTree, chi: Coloring
 ) -> tuple[CopyRef, int]:
     """A monochromatic copy of h in host = iterate(h, j) under a leaf
     coloring with at most j distinct colors.
+
+    The j-fold self-substitution iterate(h, j) arrows (h) under leaf
+    colorings with j colors; this realizes the copy.
 
     Descend through the block structure of the iterate: the current window
     is a copy of iterate(h, level) and splits into leaf_count(h) contiguous
@@ -539,8 +521,7 @@ def extract_mono_leafcolor(
     uses exactly the window's color set, and picking the leftmost leaf of
     the smallest used color in each block forms a copy of h.
     """
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise ValueError(f"iteration count must be a positive integer, got {j!r}")
+    _require_int("iteration count", j)
     if not iso(host, iterate(h, j)):
         raise ValueError("host must be the j-fold self-substitution of h")
     if not chi.pattern.is_leaf:
@@ -591,8 +572,7 @@ class ReductionChain:
     certificates: tuple[ArrowVerdict, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"number of colors must be a positive integer, got {self.k!r}")
+        _require_int("number of colors", self.k)
         expected = (self.k - 1).bit_length() + 1
         if len(self.trees) != expected:
             raise ValueError(
@@ -652,8 +632,7 @@ def build_reduction_chain(
 ) -> ReductionChain:
     """Grow the chain upward: each next tree is the least-height perfect tree
     that arrows the previous one with two colors."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"number of colors must be a positive integer, got {k!r}")
+    _require_int("number of colors", k)
     trees = [h]
     certs = []
     for i in range((k - 1).bit_length()):

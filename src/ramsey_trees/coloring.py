@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import FormatError
+from .limits import _require_int
 from .tree import PlaneTree, leaf, parse_newick, to_newick
 from .embedding import (
     CopyRef,
@@ -41,8 +42,7 @@ class Coloring:
     assignment: dict[CopyRef, int] = field(compare=True)
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"number of colors must be a positive integer, got {self.k!r}")
+        _require_int("number of colors", self.k)
         copies = enumerate_copies(self.host, self.pattern)
         given = self.assignment
         if len(given) != len(copies) or any(c not in given for c in copies):
@@ -73,9 +73,6 @@ class Coloring:
                 f"expected {host.leaf_count} leaf colors, got {len(colors)}"
             )
         return cls(host, leaf(), k, {(i,): colors[i] for i in range(len(colors))})
-
-    def copies(self) -> list[CopyRef]:
-        return list(self.assignment)
 
     def to_json_obj(self) -> dict:
         return {

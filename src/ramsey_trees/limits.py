@@ -19,13 +19,20 @@ _max_leaves = DEFAULT_MAX_LEAVES
 _max_enumeration = DEFAULT_MAX_ENUMERATION
 
 
+def _require_int(what: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless value is an int (a bool is not) of at least
+    minimum, which is 1 for a positive integer or 0 for a non-negative one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = "positive" if minimum == 1 else "non-negative"
+        raise ValueError(f"{what} must be a {kind} integer, got {value!r}")
+
+
 def max_leaves() -> int:
     return _max_leaves
 
 
 def set_max_leaves(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"max leaves must be positive, got {n}")
+    _require_int("max leaves", n)
     global _max_leaves
     _max_leaves = n
 
@@ -35,8 +42,7 @@ def max_enumeration() -> int:
 
 
 def set_max_enumeration(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"max enumeration must be positive, got {n}")
+    _require_int("max enumeration", n)
     global _max_enumeration
     _max_enumeration = n
 

@@ -1,14 +1,18 @@
-"""Built-in oracle suite over small instances.
+"""The brute-force oracle, and the built-in suite that checks the fast
+paths against it on small instances.
 
-Every check recomputes expected answers by brute force (subset enumeration,
-exhaustive coloring search) and compares them with the fast paths. Used by
-the `selftest` CLI subcommand; prose goes to a diagnostic stream, the caller
-gets a machine-readable summary.
+The oracle works from the definitions alone: shapes by LCA closure over the
+PlaneTree fields, copies by subset enumeration, arrows by exhausting every
+coloring. The tests import it too. run() backs the `selftest` CLI
+subcommand; prose goes to a diagnostic stream, the caller gets a
+machine-readable summary.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 import sys
 from typing import TextIO
@@ -17,7 +21,6 @@ from .tree import (
     PlaneTree,
     all_trees,
     catalan,
-    iso,
     iterate,
     leaf,
     node,
@@ -34,12 +37,12 @@ from .arrows import (
     check_arrow,
     extract_mono_k,
     extract_mono_leafcolor,
-    min_arrow_height,
+    min_arrow_height_scan,
 )
 
 
-def _labeled(t: PlaneTree, prefix: str = "l") -> PlaneTree:
-    """Rebuild t with leaves labeled l0, l1, ... in order."""
+def labeled(t: PlaneTree, prefix: str = "l") -> PlaneTree:
+    """Copy of t with leaves labeled prefix0, prefix1, ... left to right."""
     counter = itertools.count()
 
     def walk(v: PlaneTree) -> PlaneTree:
@@ -50,28 +53,94 @@ def _labeled(t: PlaneTree, prefix: str = "l") -> PlaneTree:
     return walk(t)
 
 
-def _brute_copies(host: PlaneTree, pattern: PlaneTree) -> list[tuple[int, ...]]:
-    n = host.leaf_count
-    return [
+def naive_shape(t: PlaneTree):
+    """Nested-tuple shape: leaves are None, internal vertices (left, right)."""
+    if t.is_leaf:
+        return None
+    return (naive_shape(t.left), naive_shape(t.right))
+
+
+def naive_induced_shape(t: PlaneTree, chosen):
+    """Shape a nonempty leaf subset induces in t: the LCA closure of the
+    subset, with every vertex that keeps chosen leaves on one side only
+    contracted away."""
+    chosen = set(chosen)
+    pos = itertools.count()
+
+    def walk(v: PlaneTree):
+        # (shape or None, whether v holds a chosen leaf)
+        if v.is_leaf:
+            return None, next(pos) in chosen
+        ls, lhit = walk(v.left)
+        rs, rhit = walk(v.right)
+        if lhit and rhit:
+            return (ls, rs), True
+        if lhit:
+            return ls, True
+        return rs, rhit
+
+    shape, hit = walk(t)
+    if not hit:
+        raise ValueError("leaf subset must be nonempty and inside the tree")
+    return shape
+
+
+def brute_copies(host: PlaneTree, pattern: PlaneTree) -> list[tuple[int, ...]]:
+    """All copies of pattern in host, in lexicographic order, by trying
+    every leaf subset of the pattern's size."""
+    return list(_brute_copies(host, pattern))
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_copies(host: PlaneTree, pattern: PlaneTree) -> tuple[tuple[int, ...], ...]:
+    target = naive_shape(pattern)
+    return tuple(
         s
-        for s in itertools.combinations(range(n), pattern.leaf_count)
-        if is_copy(host, s, pattern)
-    ]
+        for s in itertools.combinations(range(host.leaf_count), pattern.leaf_count)
+        if naive_induced_shape(host, s) == target
+    )
 
 
-def _brute_arrow(host: PlaneTree, target: PlaneTree, pattern: PlaneTree, k: int) -> str:
-    """Exhaust all k**m colorings; 'fails' iff some coloring has no
-    monochromatic target-copy (a copy with <= 1 inner pattern-copy counts)."""
-    variables = _brute_copies(host, pattern)
-    index = {c: i for i, c in enumerate(variables)}
-    edges = []
-    for hc in _brute_copies(host, target):
+def brute_arrow_edges(host: PlaneTree, target: PlaneTree, pattern: PlaneTree):
+    """(variables, sorted distinct NAE edges) of the arrow problem by subset
+    inclusion: an edge lists the indices of the pattern-copies inside one
+    target-copy. Edges is None when some target-copy holds at most one."""
+    variables = brute_copies(host, pattern)
+    edges = set()
+    for hc in brute_copies(host, target):
         hc_set = set(hc)
-        edges.append([index[c] for c in variables if hc_set.issuperset(c)])
+        edge = tuple(i for i, c in enumerate(variables) if hc_set.issuperset(c))
+        if len(edge) <= 1:
+            return variables, None
+        edges.add(edge)
+    return variables, sorted(edges)
+
+
+def brute_arrow_status(host: PlaneTree, target: PlaneTree, pattern: PlaneTree, k: int) -> str:
+    """Definitional arrow check: try all k**m colorings of the m
+    pattern-copies; 'holds' iff each leaves some target-copy monochromatic
+    (a target-copy with at most one inner pattern-copy always is)."""
+    variables, edges = brute_arrow_edges(host, target, pattern)
+    if edges is None:
+        return "holds"
+    members = [operator.itemgetter(*e) for e in edges]
     for colors in itertools.product(range(k), repeat=len(variables)):
-        if not any(len({colors[v] for v in e}) <= 1 for e in edges):
+        if not any(len(set(get(colors))) == 1 for get in members):
             return "fails"
     return "holds"
+
+
+def check_witness(host: PlaneTree, target: PlaneTree, witness: Coloring) -> bool:
+    """True iff the witness colors exactly the copies of its pattern in host
+    and leaves no target-copy monochromatic."""
+    if set(witness.assignment) != set(brute_copies(host, witness.pattern)):
+        return False
+    for hc in brute_copies(host, target):
+        hc_set = set(hc)
+        colors = {col for c, col in witness.assignment.items() if hc_set.issuperset(c)}
+        if len(colors) <= 1:
+            return False
+    return True
 
 
 def _check_catalan() -> tuple[bool, str]:
@@ -102,7 +171,7 @@ def _check_copies() -> tuple[bool, str]:
         for host in all_trees(hn):
             for pn in range(1, 4):
                 for pattern in all_trees(pn):
-                    expected = _brute_copies(host, pattern)
+                    expected = brute_copies(host, pattern)
                     got = enumerate_copies(host, pattern)
                     if got != expected or count_copies(host, pattern) != len(expected):
                         return False, f"mismatch for host {to_newick(host)}"
@@ -114,7 +183,7 @@ def _check_triples() -> tuple[bool, str]:
     cases = 0
     for n in range(1, 7):
         for t in all_trees(n):
-            lt = _labeled(t)
+            lt = labeled(t)
             enc = structure_of(lt)
             if reconstruct(enc) != lt:
                 return False, f"round-trip failed for {to_newick(lt)}"
@@ -132,7 +201,7 @@ def _check_triples() -> tuple[bool, str]:
                     return False, f"flipped 3-set {p},{q},{r} of {to_newick(lt)} was accepted"
     for n in range(2, 6):
         for t in all_trees(n):
-            lt = _labeled(t)
+            lt = labeled(t)
             enc = structure_of(lt)
             for r in range(1, n + 1):
                 for s in itertools.combinations(range(n), r):
@@ -147,7 +216,7 @@ def _check_bridge() -> tuple[bool, str]:
     cases = 0
     for hn in range(1, 6):
         for host in all_trees(hn):
-            lt = _labeled(host)
+            lt = labeled(host)
             enc = structure_of(lt)
             for pn in range(1, 4):
                 for pattern in all_trees(pn):
@@ -163,7 +232,7 @@ def _check_bridge() -> tuple[bool, str]:
 
 
 def _check_arrows() -> tuple[bool, str]:
-    queries = 0
+    queries = witnesses = 0
     for hn in range(1, 5):
         for host in all_trees(hn):
             for tn in range(1, 4):
@@ -171,21 +240,29 @@ def _check_arrows() -> tuple[bool, str]:
                     for pn in range(1, 3):
                         for pattern in all_trees(pn):
                             for k in (1, 2):
-                                got = check_arrow(host, target, pattern, k).status
-                                want = _brute_arrow(host, target, pattern, k)
-                                if got != want:
-                                    return False, (
-                                        f"{to_newick(host)} vs ({to_newick(target)}, "
-                                        f"{to_newick(pattern)}, k={k}): {got} != {want}"
-                                    )
+                                verdict = check_arrow(host, target, pattern, k)
+                                want = brute_arrow_status(host, target, pattern, k)
+                                query = (
+                                    f"{to_newick(host)} vs ({to_newick(target)}, "
+                                    f"{to_newick(pattern)}, k={k})"
+                                )
+                                if verdict.status != want:
+                                    return False, f"{query}: {verdict.status} != {want}"
+                                if verdict.status == "fails":
+                                    if not check_witness(host, target, verdict.witness):
+                                        return False, f"{query}: the bad coloring is not bad"
+                                    witnesses += 1
                                 queries += 1
-    return True, f"search agrees with exhaustion on {queries} queries"
+    return True, (
+        f"search agrees with exhaustion on {queries} queries, "
+        f"{witnesses} bad colorings re-verified"
+    )
 
 
 def _check_min_heights() -> tuple[bool, str]:
     # (target height, k) -> least height of a perfect host that arrows it
     want = {(1, 2): 2, (1, 4): 3, (2, 2): 4, (4, 2): 8}
-    got = {(t, k): min_arrow_height(perfect_tree(t), leaf(), k) for t, k in want}
+    got = {(t, k): min_arrow_height_scan(perfect_tree(t), leaf(), k)[0] for t, k in want}
     if got != want:
         return False, f"least heights came out as {got}, expected {want}"
     return True, "least arrowing heights for the cherry at k=2 and k=4, P2 and P4 at k=2"

@@ -37,7 +37,7 @@ import math
 import re
 
 from .errors import ParseError
-from .limits import check_enumeration, check_leaves
+from .limits import _require_int, check_enumeration, check_leaves
 
 _OPEN, _CLOSE, _COMMA = b"(),"
 _WS = b" \t\r\n"
@@ -271,8 +271,7 @@ def iso(a: PlaneTree, b: PlaneTree) -> bool:
 
 def perfect_tree(c: int) -> PlaneTree:
     """The complete tree of height c: 2**c leaves, every leaf at depth c."""
-    if c < 0:
-        raise ValueError(f"height must be >= 0, got {c}")
+    _require_int("height", c, 0)
     check_leaves(1 << c)
     t = leaf()
     for _ in range(c):
@@ -309,8 +308,7 @@ def substitute(g: PlaneTree, h: PlaneTree) -> PlaneTree:
 
 def iterate(h: PlaneTree, i: int) -> PlaneTree:
     """Iterated substitution: iterate(h, 1) = h, iterate(h, i+1) = substitute(h, iterate(h, i))."""
-    if i < 1:
-        raise ValueError(f"iteration count must be >= 1, got {i}")
+    _require_int("iteration count", i)
     t = h
     for _ in range(i - 1):
         t = substitute(h, t)
@@ -319,8 +317,7 @@ def iterate(h: PlaneTree, i: int) -> PlaneTree:
 
 def catalan(m: int) -> int:
     """Number of plane binary trees with m + 1 leaves."""
-    if m < 0:
-        raise ValueError(f"catalan index must be >= 0, got {m}")
+    _require_int("catalan index", m, 0)
     return math.comb(2 * m, m) // (m + 1)
 
 
@@ -338,8 +335,7 @@ def _all_trees(n: int) -> tuple[PlaneTree, ...]:
 
 def all_trees(n: int) -> tuple[PlaneTree, ...]:
     """All plane binary trees with exactly n anonymous leaves (Catalan many)."""
-    if n < 1:
-        raise ValueError(f"leaf count must be >= 1, got {n}")
+    _require_int("leaf count", n)
     check_leaves(n)
     check_enumeration(catalan(n - 1))
     return _all_trees(n)

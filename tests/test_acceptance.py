@@ -12,7 +12,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 from ramsey_trees import (
@@ -32,7 +31,6 @@ from ramsey_trees import (
     min_arrow_height_scan,
     parse_newick,
     perfect_tree,
-    prop21_witness,
     reconstruct,
     restrict,
     structure_of,
@@ -40,7 +38,6 @@ from ramsey_trees import (
     to_newick,
 )
 from helpers import (
-    all_colorings,
     brute_arrow_status,
     brute_copies,
     check_witness,
@@ -83,18 +80,6 @@ def checked_arrow(host, target, pattern, k, budget=None):
     return verdict
 
 
-def _induced_shapes(host, max_size):
-    """subset -> shape of the induced subtree, for all subsets up to max_size."""
-    out = {}
-    n = host.leaf_count
-    for m in range(1, min(n, max_size) + 1):
-        out[m] = {
-            s: naive_induced_shape(host, s)
-            for s in itertools.combinations(range(n), m)
-        }
-    return out
-
-
 def test_criterion_01_catalan_enumeration():
     with criterion(1, "Catalan counts for 1..7 leaves, byte-identical round-trips", 5.0):
         expected = [1, 1, 2, 5, 14, 42, 132]
@@ -110,16 +95,11 @@ def test_criterion_01_catalan_enumeration():
 def test_criterion_02_count_matches_bruteforce():
     with criterion(2, "count_copies equals exhaustive enumeration, hosts<=8 x patterns<=4", 60.0) as info:
         patterns = [p for n in range(1, 5) for p in all_trees(n)]
-        pattern_shapes = [naive_shape(p) for p in patterns]
         pairs = 0
         for n in range(1, 9):
             for host in all_trees(n):
-                shapes = _induced_shapes(host, 4)
-                for p, pshape in zip(patterns, pattern_shapes):
-                    m = p.leaf_count
-                    expected = sum(
-                        1 for sh in shapes.get(m, {}).values() if sh == pshape
-                    )
+                for p in patterns:
+                    expected = len(brute_copies(host, p))
                     assert count_copies(host, p) == expected, (to_newick(host), to_newick(p))
                     pairs += 1
         info["detail"] = f"{pairs} host/pattern pairs"
@@ -177,44 +157,14 @@ def test_criterion_06_arrow_checker_vs_exhaustion():
     with criterion(6, "arrow verdicts equal full coloring enumeration (<=12 copies, k<=3)", 120.0) as info:
         hosts = [t for n in range(1, 7) for t in all_trees(n)]
         smalls = [t for n in range(1, 5) for t in all_trees(n)]
-        small_shapes = [naive_shape(t) for t in smalls]
-        tables: dict[tuple[int, int], np.ndarray] = {}
         queries = 0
         for host in hosts:
-            shapes = _induced_shapes(host, 4)
-            for pattern, pshape in zip(smalls, small_shapes):
-                pm = pattern.leaf_count
-                variables = [s for s, sh in shapes.get(pm, {}).items() if sh == pshape]
-                if len(variables) > 12:
+            for pattern in smalls:
+                if len(brute_copies(host, pattern)) > 12:
                     continue
-                index = {s: i for i, s in enumerate(variables)}
-                mv = len(variables)
-                for target, tshape in zip(smalls, small_shapes):
-                    tm = target.leaf_count
-                    hcopies = [s for s, sh in shapes.get(tm, {}).items() if sh == tshape]
-                    vacuous = False
-                    edges = []
-                    for hc in hcopies:
-                        hc_set = set(hc)
-                        inner = [index[v] for v in variables if hc_set.issuperset(v)]
-                        if len(inner) <= 1:
-                            vacuous = True
-                            break
-                        edges.append(inner)
+                for target in smalls:
                     for k in (1, 2, 3):
-                        if vacuous:
-                            expected = "holds"
-                        elif not edges:
-                            expected = "fails"
-                        else:
-                            table = tables.get((k, mv))
-                            if table is None:
-                                table = tables[(k, mv)] = all_colorings(k, mv)
-                            any_mono = np.zeros(len(table), dtype=bool)
-                            for e in edges:
-                                sub = table[:, e]
-                                any_mono |= (sub == sub[:, :1]).all(axis=1)
-                            expected = "holds" if bool(any_mono.all()) else "fails"
+                        expected = brute_arrow_status(host, target, pattern, k)
                         got = checked_arrow(host, target, pattern, k)
                         assert got.status == expected, (
                             to_newick(host), to_newick(target), to_newick(pattern), k,
@@ -243,8 +193,7 @@ def test_criterion_07_minimal_heights():
 def test_criterion_08_iterated_substitution_arrows():
     with criterion(8, "iterate(h,k) arrows h under k-leaf-colorings", 120.0):
         for h, k in ((CHERRY, 2), (CHERRY, 3), (CAT3, 2)):
-            host = prop21_witness(h, k)
-            assert host == iterate(h, k)
+            host = iterate(h, k)
             verdict = checked_arrow(host, h, leaf(), k)
             assert verdict.status == "holds", (to_newick(h), k)
 

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import itertools
 import json
+import pathlib
 import pkgutil
 import random
 import time
@@ -19,6 +20,7 @@ from ramsey_trees import (
     SearchBudget,
     all_trees,
     build_reduction_chain,
+    catalan,
     check_arrow,
     extract_mono_k,
     extract_mono_leafcolor,
@@ -26,12 +28,10 @@ from ramsey_trees import (
     is_mono,
     iterate,
     leaf,
-    min_arrow_height,
     min_arrow_height_scan,
     node,
     parse_newick,
     perfect_tree,
-    prop21_witness,
     set_max_enumeration,
     set_max_leaves,
     to_newick,
@@ -323,15 +323,29 @@ def test_arrows_has_no_assert():
         assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], module
 
 
+def test_numpy_is_imported_only_by_package_init():
+    # Neither the library nor its tests use numpy; the package __init__
+    # imports it only so that the benchmark worker can read its version.
+    package = pathlib.Path(ramsey_trees.__file__).parent
+    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files += pathlib.Path(__file__).parent.rglob("*.py")
+    assert len(files) > 15
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+        assert not [m for m in imported if m.split(".")[0] == "numpy"], path
+
+
 def test_min_arrow_height_frozen_values():
-    assert min_arrow_height(CHERRY, leaf(), 2) == 2
-    assert min_arrow_height(CHERRY, leaf(), 4) == 3
-    assert min_arrow_height(perfect_tree(2), leaf(), 2) == 4
+    assert min_arrow_height_scan(CHERRY, leaf(), 2)[0] == 2
+    assert min_arrow_height_scan(CHERRY, leaf(), 4)[0] == 3
+    assert min_arrow_height_scan(perfect_tree(2), leaf(), 2)[0] == 4
     # These two agree with a least-height count over Strahler numbers: P(t)
     # embeds in a leaf set iff the tree the set induces has Strahler number
     # at least t.
-    assert min_arrow_height(perfect_tree(4), leaf(), 2) == 8
-    assert min_arrow_height(perfect_tree(5), leaf(), 2) == 10
+    assert min_arrow_height_scan(perfect_tree(4), leaf(), 2)[0] == 8
+    assert min_arrow_height_scan(perfect_tree(5), leaf(), 2)[0] == 10
 
 
 def test_min_arrow_height_scan_trail():
@@ -372,12 +386,26 @@ def test_min_arrow_height_stops_at_enumeration_cap():
     assert [(h, v.status) for h, v in scan] == [(2, "fails"), (3, "fails")]
 
 
-def test_prop21_witness():
-    assert prop21_witness(CHERRY, 2) == perfect_tree(2)
-    assert prop21_witness(CAT3, 1) == CAT3
-    assert prop21_witness(CAT3, 2) == iterate(CAT3, 2)
-    with pytest.raises(ValueError, match="positive integer"):
-        prop21_witness(CHERRY, 0)
+def test_integer_arguments_are_checked():
+    # A bool, a float or a string would act as some integer, or fail late
+    # with a TypeError; each is refused up front like an out-of-range value.
+    assert iterate(CAT3, 1) == CAT3
+    assert iterate(CHERRY, 2) == perfect_tree(2)
+    positive = [
+        lambda n: iterate(CHERRY, n),
+        all_trees,
+        set_max_leaves,
+        set_max_enumeration,
+        lambda n: build_reduction_chain(CHERRY, leaf(), n),
+    ]
+    for call in positive:
+        for bad in (0, -1, True, 2.5, "5"):
+            with pytest.raises(ValueError, match="positive integer"):
+                call(bad)
+    for bad in (-1, True, 2.5, "5"):
+        for call in (perfect_tree, catalan):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                call(bad)
 
 
 def test_extract_mono_leafcolor_frozen_examples():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import ramsey_trees
 from ramsey_trees import Coloring, iterate, parse_newick, perfect_tree, set_max_enumeration
+from ramsey_trees import selftest
 from ramsey_trees.cli import main
 
 CAT3 = "((,),)"
@@ -285,6 +287,53 @@ def test_selftest(capsys):
     assert summary["failed"] == 0
     assert summary["passed"] >= 8
     assert "ok" in err
+
+
+def _changing_cherry_query(change):
+    """selftest's check_arrow, except that the failing query
+    (,) -> ((,))^leaf_2 comes back changed."""
+    real, cherry = selftest.check_arrow, parse_newick("(,)")
+
+    def check_arrow(host, target, pattern, k, budget=None):
+        verdict = real(host, target, pattern, k, budget)
+        if host == target == cherry and pattern.is_leaf and k == 2:
+            return change(verdict)
+        return verdict
+
+    return check_arrow
+
+
+def _flip_verdict(v):
+    return dataclasses.replace(v, status="holds", witness=None)
+
+
+def _spoil_witness(v):
+    w = v.witness
+    return dataclasses.replace(v, witness=Coloring.uniform(w.host, w.pattern, w.k, 0))
+
+
+def _dropping_last_copy():
+    real = selftest.enumerate_copies
+    return lambda host, pattern: real(host, pattern)[:-1]
+
+
+@pytest.mark.parametrize(
+    "attr, make, failing",
+    [
+        ("check_arrow", lambda: _changing_cherry_query(_flip_verdict), "arrow-vs-exhaustion"),
+        ("check_arrow", lambda: _changing_cherry_query(_spoil_witness), "arrow-vs-exhaustion"),
+        ("enumerate_copies", _dropping_last_copy, "copy-enumeration"),
+    ],
+    ids=["flipped-verdict", "bad-witness", "dropped-copy"],
+)
+def test_selftest_fails_on_a_broken_fast_path(capsys, monkeypatch, attr, make, failing):
+    monkeypatch.setattr(selftest, attr, make())
+    rc, out, err = run(capsys, "selftest")
+    assert rc == 1
+    summary = json.loads(out)
+    assert summary["failed"] >= 1
+    assert [c["name"] for c in summary["checks"] if not c["ok"]] == [failing]
+    assert f"FAIL {failing}:" in err
 
 
 def test_selftest_under_optimize():

@@ -34,7 +34,7 @@ def leafchi(colors, k=2, host=None):
 
 def test_constructor_requires_totality():
     t2 = perfect_tree(2)
-    full = {c: 0 for c in Coloring.uniform(t2, CHERRY, 2, 0).copies()}
+    full = dict(Coloring.uniform(t2, CHERRY, 2, 0).assignment)
     missing = dict(full)
     del missing[(0, 1)]
     with pytest.raises(ValueError, match=r"missing copies \[\(0, 1\)\]"):
@@ -47,7 +47,7 @@ def test_constructor_requires_totality():
 
 def test_constructor_checks_colors_and_k():
     t2 = perfect_tree(2)
-    full = {c: 0 for c in Coloring.uniform(t2, CHERRY, 2, 0).copies()}
+    full = dict(Coloring.uniform(t2, CHERRY, 2, 0).assignment)
     for bad in (2, -1, True, "0"):
         broken = dict(full)
         broken[(0, 1)] = bad
@@ -60,7 +60,7 @@ def test_constructor_checks_colors_and_k():
 
 def test_assignment_is_canonically_ordered():
     t2 = perfect_tree(2)
-    copies = Coloring.uniform(t2, CHERRY, 2, 0).copies()
+    copies = list(Coloring.uniform(t2, CHERRY, 2, 0).assignment)
     scrambled = {c: i % 2 for i, c in enumerate(reversed(copies))}
     chi = Coloring(t2, CHERRY, 2, scrambled)
     assert list(chi.assignment) == copies
@@ -235,7 +235,7 @@ def test_find_mono_copy_under_enumeration_cap():
 
 def test_psi_map_frozen_example():
     t2 = perfect_tree(2)
-    assignment = {c: 0 for c in Coloring.uniform(t2, CHERRY, 2, 0).copies()}
+    assignment = dict(Coloring.uniform(t2, CHERRY, 2, 0).assignment)
     assignment[(0, 2)] = 1
     chi = Coloring(t2, CHERRY, 2, assignment)
     images = psi_map(chi, (0, 1), (2, 3))
@@ -271,7 +271,7 @@ def test_find_psi_mono():
     uniform = Coloring.uniform(t2, CHERRY, 2, 0)
     assert find_psi_mono(uniform, (0, 1), CHERRY, "left", (2, 3)) == (0, 1)
     assert find_psi_mono(uniform, (2, 3), CHERRY, "right", (0, 1)) == (2, 3)
-    broken = {c: 0 for c in uniform.copies()}
+    broken = dict(uniform.assignment)
     broken[(0, 2)] = 1
     disagree = Coloring(t2, CHERRY, 2, broken)
     assert find_psi_mono(disagree, (0, 1), CHERRY, "left", (2, 3)) is None
