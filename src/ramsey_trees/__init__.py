@@ -1,10 +1,18 @@
 """Copies, triple encodings and arrow (partition) search on rooted binary
 plane trees."""
 
-# The package does not use numpy. It is imported only because the benchmark
-# worker reads sys.modules["numpy"] without a default to record its version
-# (perfbench/worker.py:263); drop it when the worker reads it with one.
-import numpy  # noqa: F401
+import importlib.util
+import sys
+
+# The package does not use numpy and runs none of its code. The benchmark
+# worker reads sys.modules["numpy"].__version__ without a default to record
+# the version (perfbench/worker.py:263), so numpy is registered lazily: its
+# code runs only when an attribute is read. Delete this block when the worker
+# reads the version with a default (ROADMAP item 1).
+if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")):
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["numpy"])
 
 from .errors import (
     BudgetExhaustedError,

@@ -3,7 +3,6 @@ import hashlib
 import importlib
 import itertools
 import json
-import pathlib
 import pkgutil
 import random
 import time
@@ -321,20 +320,6 @@ def test_arrows_has_no_assert():
         with open(module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)], module
-
-
-def test_numpy_is_imported_only_by_package_init():
-    # Neither the library nor its tests use numpy; the package __init__
-    # imports it only so that the benchmark worker can read its version.
-    package = pathlib.Path(ramsey_trees.__file__).parent
-    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    files += pathlib.Path(__file__).parent.rglob("*.py")
-    assert len(files) > 15
-    for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-        imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
-        assert not [m for m in imported if m.split(".")[0] == "numpy"], path
 
 
 def test_min_arrow_height_frozen_values():

@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import pytest
 WORKER = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
 
 
-# One untimed-length pass of each in-process workload: the worker checks
-# every verdict against its known truth, re-verifies every witness and
-# expects "unknown" exactly at the node budget, and counts what fails. The
-# cli workload starts one process per command and is left to the benchmark.
-@pytest.mark.parametrize("workload", ["search", "construct", "large-host"])
+# One untimed-length pass of each workload: the worker checks every verdict
+# against its known truth, re-verifies every witness and expects "unknown"
+# exactly at the node budget, and counts what fails. The cli workload starts
+# one process per command and checks each exit code and stdout against the
+# library. The worker also records the installed numpy version, which it
+# reads from the package's lazy registration.
+@pytest.mark.parametrize("workload", ["search", "construct", "large-host", "cli"])
 def test_benchmark_workload_passes_its_checks(workload):
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload,
@@ -26,3 +29,4 @@ def test_benchmark_workload_passes_its_checks(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["attempted"] > 0
     assert result["failed"] == 0, result["errors"]
+    assert result["env"]["numpy"] == importlib.metadata.version("numpy")
