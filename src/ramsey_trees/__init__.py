@@ -14,70 +14,94 @@ if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")):
     sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(sys.modules["numpy"])
 
-from .errors import (
-    BudgetExhaustedError,
-    FormatError,
-    InconsistentTriplesError,
-    ParseError,
-    ResourceError,
-    ResourceLimitError,
-)
-from .limits import (
-    max_enumeration,
-    max_leaves,
-    set_max_enumeration,
-    set_max_leaves,
-)
-from .tree import (
-    PlaneTree,
-    all_trees,
-    catalan,
-    iso,
-    iterate,
-    leaf,
-    node,
-    parse_newick,
-    perfect_tree,
-    shape_key,
-    substitute,
-    to_newick,
-)
-from .embedding import (
-    CopyRef,
-    count_copies,
-    enumerate_copies,
-    format_copy,
-    induced_subtree,
-    is_copy,
-    leaf_labels,
-    leaf_lca_depth,
-    parse_copy,
-    validate_copy,
-)
-from .triples import (
-    TripleStructure,
-    reconstruct,
-    restrict,
-    structure_of,
-    substructure_iso,
-)
-from .coloring import (
-    Coloring,
-    find_mono_copy,
-    find_psi_mono,
-    is_mono,
-    psi_map,
-)
-from .arrows import (
-    ArrowVerdict,
-    ReductionChain,
-    SearchBudget,
-    build_reduction_chain,
-    check_arrow,
-    extract_mono_k,
-    extract_mono_leafcolor,
-    min_arrow_height_scan,
-)
+# Each public name maps to the submodule that defines it. The names are
+# imported on first access (PEP 562), so a process loads only the submodules
+# it uses: a CLI command that builds trees never compiles the arrow search.
+_SUBMODULE = {
+    **dict.fromkeys(
+        (
+            "BudgetExhaustedError",
+            "FormatError",
+            "InconsistentTriplesError",
+            "ParseError",
+            "ResourceError",
+            "ResourceLimitError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(
+        ("max_enumeration", "max_leaves", "set_max_enumeration", "set_max_leaves"),
+        "limits",
+    ),
+    **dict.fromkeys(
+        (
+            "PlaneTree",
+            "all_trees",
+            "catalan",
+            "iso",
+            "iterate",
+            "leaf",
+            "node",
+            "parse_newick",
+            "perfect_tree",
+            "shape_key",
+            "substitute",
+            "to_newick",
+        ),
+        "tree",
+    ),
+    **dict.fromkeys(
+        (
+            "CopyRef",
+            "count_copies",
+            "enumerate_copies",
+            "format_copy",
+            "induced_subtree",
+            "is_copy",
+            "leaf_labels",
+            "leaf_lca_depth",
+            "parse_copy",
+            "validate_copy",
+        ),
+        "embedding",
+    ),
+    **dict.fromkeys(
+        ("TripleStructure", "reconstruct", "restrict", "structure_of", "substructure_iso"),
+        "triples",
+    ),
+    **dict.fromkeys(
+        ("Coloring", "find_mono_copy", "find_psi_mono", "is_mono", "psi_map"),
+        "coloring",
+    ),
+    **dict.fromkeys(
+        (
+            "ArrowVerdict",
+            "ReductionChain",
+            "SearchBudget",
+            "build_reduction_chain",
+            "check_arrow",
+            "extract_mono_k",
+            "extract_mono_leafcolor",
+            "min_arrow_height_scan",
+        ),
+        "arrows",
+    ),
+}
+
+
+def __getattr__(name):
+    try:
+        submodule = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value  # later reads find it without calling this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

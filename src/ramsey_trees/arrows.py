@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick

@@ -14,27 +14,11 @@ import json
 import os
 import sys
 
+# Each command imports the submodules it runs, so a process compiles only
+# those: `gen` loads no copy enumeration, and only the arrow commands load
+# the arrow search.
 from .errors import FormatError, ResourceError
 from .limits import set_max_leaves
-from .tree import iterate, parse_newick, perfect_tree, substitute, to_newick
-from .embedding import (
-    count_copies,
-    enumerate_copies,
-    format_copy,
-    induced_subtree,
-    parse_copy,
-)
-from .triples import TripleStructure, reconstruct, structure_of
-from .coloring import Coloring
-from .arrows import (
-    ReductionChain,
-    SearchBudget,
-    build_reduction_chain,
-    check_arrow,
-    extract_mono_k,
-    extract_mono_leafcolor,
-    min_arrow_height_scan,
-)
 
 
 class _UsageError(Exception):
@@ -57,6 +41,8 @@ def _int_arg(name: str, text: str, minimum: int) -> int:
 
 
 def _tree_arg(text: str):
+    from .tree import parse_newick
+
     if text.startswith("@"):
         path = text[1:]
         with open(path, "r", encoding="utf-8") as fh:
@@ -72,10 +58,16 @@ def _load_json(path: str):
             raise FormatError(f"invalid JSON in {path}: {e}") from None
 
 
-def _budget(args) -> SearchBudget:
+def _budget(args):
+    """The SearchBudget of the budget flags given; an omitted flag keeps its default."""
+    from .arrows import SearchBudget
+
+    flags = (
+        ("max_nodes", "--budget-nodes", args.budget_nodes),
+        ("max_millis", "--budget-ms", args.budget_ms),
+    )
     return SearchBudget(
-        max_nodes=_int_arg("--budget-nodes", args.budget_nodes, 0),
-        max_millis=_int_arg("--budget-ms", args.budget_ms, 0),
+        **{field: _int_arg(flag, text, 0) for field, flag, text in flags if text is not None}
     )
 
 
@@ -84,6 +76,8 @@ def _emit(obj) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from .tree import iterate, perfect_tree, substitute, to_newick
+
     if args.mode == "perfect":
         result = perfect_tree(_int_arg("height", args.height, 0))
     elif args.mode == "substitute":
@@ -95,6 +89,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_copies(args) -> int:
+    from .embedding import count_copies, enumerate_copies, format_copy
+
     host = _tree_arg(args.host)
     pattern = _tree_arg(args.pattern)
     if args.count_only:
@@ -105,23 +101,33 @@ def _cmd_copies(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    from .tree import to_newick
+    from .embedding import induced_subtree, parse_copy
+
     host = _tree_arg(args.host)
     print(to_newick(induced_subtree(host, parse_copy(args.leafset))))
     return 0
 
 
 def _cmd_encode(args) -> int:
+    from .triples import structure_of
+
     _emit(structure_of(_tree_arg(args.tree)).to_json_obj())
     return 0
 
 
 def _cmd_decode(args) -> int:
+    from .tree import to_newick
+    from .triples import TripleStructure, reconstruct
+
     structure = TripleStructure.from_json_obj(_load_json(args.structure))
     print(to_newick(reconstruct(structure)))
     return 0
 
 
 def _cmd_check_arrow(args) -> int:
+    from .arrows import check_arrow
+
     verdict = check_arrow(
         _tree_arg(args.host),
         _tree_arg(args.target),
@@ -134,6 +140,8 @@ def _cmd_check_arrow(args) -> int:
 
 
 def _cmd_min_height(args) -> int:
+    from .arrows import min_arrow_height_scan
+
     max_height = None if args.max_height is None else _int_arg("--max-height", args.max_height, 0)
     found, scan = min_arrow_height_scan(
         _tree_arg(args.target),
@@ -155,6 +163,8 @@ def _cmd_min_height(args) -> int:
 
 
 def _cmd_find_bad(args) -> int:
+    from .arrows import check_arrow
+
     verdict = check_arrow(
         _tree_arg(args.host),
         _tree_arg(args.target),
@@ -173,6 +183,10 @@ def _cmd_find_bad(args) -> int:
 
 
 def _cmd_extract_mono(args) -> int:
+    from .tree import iterate
+    from .coloring import Coloring
+    from .arrows import extract_mono_leafcolor
+
     h = _tree_arg(args.target)
     j = _int_arg("j", args.j, 1)
     chi = Coloring.from_json_obj(_load_json(args.coloring))
@@ -182,6 +196,8 @@ def _cmd_extract_mono(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from .arrows import build_reduction_chain
+
     max_height = None if args.max_height is None else _int_arg("--max-height", args.max_height, 0)
     chain = build_reduction_chain(
         _tree_arg(args.target),
@@ -195,6 +211,9 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_extract_k(args) -> int:
+    from .coloring import Coloring
+    from .arrows import ReductionChain, extract_mono_k
+
     chain = ReductionChain.from_json_obj(_load_json(args.chain), _budget(args))
     chi = Coloring.from_json_obj(_load_json(args.coloring))
     copy, color = extract_mono_k(chain, chi)
@@ -203,7 +222,7 @@ def _cmd_extract_k(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from . import selftest  # imported here so that no other command pays for it
+    from . import selftest
 
     summary = selftest.run(sys.stderr)
     _emit(summary)
@@ -211,8 +230,8 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_budget_flags(sub) -> None:
-    sub.add_argument("--budget-nodes", default=str(SearchBudget().max_nodes))
-    sub.add_argument("--budget-ms", default=str(SearchBudget().max_millis))
+    sub.add_argument("--budget-nodes")
+    sub.add_argument("--budget-ms")
 
 
 def build_parser() -> _Parser:

@@ -8,9 +8,16 @@ from pathlib import Path
 import pytest
 
 import ramsey_trees
-from ramsey_trees import Coloring, iterate, parse_newick, perfect_tree, set_max_enumeration
+from ramsey_trees import (
+    Coloring,
+    SearchBudget,
+    iterate,
+    parse_newick,
+    perfect_tree,
+    set_max_enumeration,
+)
 from ramsey_trees import selftest
-from ramsey_trees.cli import main
+from ramsey_trees.cli import _budget, build_parser, main
 
 CAT3 = "((,),)"
 
@@ -140,6 +147,23 @@ def test_check_arrow_budget_exit_code(capsys):
     rc, out, _ = run(capsys, "check-arrow", "((,),(,))", "(,)", "", "2", "--budget-nodes", "0")
     assert rc == 2
     assert json.loads(out)["verdict"] == "unknown"
+
+
+def test_budget_flags_keep_their_meaning(capsys):
+    query = ["check-arrow", "((,),(,))", "(,)", "", "2"]
+    assert _budget(build_parser().parse_args(query)) == SearchBudget()
+    given = build_parser().parse_args([*query, "--budget-ms", "7"])
+    assert _budget(given) == SearchBudget(max_millis=7)
+    rc, out, err = run(capsys, *query, "--budget-nodes", "-1")
+    assert (rc, out) == (1, "")
+    assert "error: --budget-nodes must be >= 0, got '-1'" in err
+    rc, out, err = run(capsys, *query, "--budget-ms", "abc")
+    assert (rc, out) == (1, "")
+    assert "error: invalid integer for --budget-ms: 'abc'" in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check-arrow", "--help"])
+    assert exit_info.value.code == 0
+    assert "--budget-nodes" in capsys.readouterr().out
 
 
 def test_min_height(capsys):

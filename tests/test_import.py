@@ -1,18 +1,25 @@
-"""The import contract: the package runs none of numpy's code.
+"""The import contract: the package runs none of numpy's code, and a process
+loads only the submodules it uses.
 
 The package registers numpy lazily, only so that the benchmark worker can
 read its version; importing the package or running a CLI command must not
 execute numpy, and the package must work where numpy is missing or broken.
+Its public names are imported from their submodules on first access, and
+each CLI command imports only what it runs.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import ramsey_trees
+from ramsey_trees import Coloring, build_reduction_chain, iterate, leaf, parse_newick, structure_of
 
 SRC = pathlib.Path(ramsey_trees.__file__).resolve().parent.parent
 
@@ -86,3 +93,93 @@ def test_cli_runs_without_numpy():
         print("numpy" in sys.modules)
     """, str(SRC))
     assert out == "((,),(,))\nFalse\n"
+
+
+def test_public_names_resolve_to_their_submodules():
+    for name in ramsey_trees.__all__:
+        module = importlib.import_module(f"ramsey_trees.{ramsey_trees._SUBMODULE[name]}")
+        assert getattr(ramsey_trees, name) is getattr(module, name), name
+
+
+def test_lazy_table_holds_the_public_names():
+    assert sorted(ramsey_trees._SUBMODULE) == sorted(set(ramsey_trees.__all__))
+    assert len(set(ramsey_trees.__all__)) == len(ramsey_trees.__all__)
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from ramsey_trees import *", namespace)
+    for name in ramsey_trees.__all__:
+        assert namespace[name] is getattr(ramsey_trees, name), name
+    assert set(ramsey_trees.__all__) | {"__version__"} <= set(dir(ramsey_trees))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        ramsey_trees.nope
+    assert not hasattr(ramsey_trees, "nope")
+
+
+def test_bare_import_loads_no_submodule():
+    out = _python("-c", """if True:
+        import sys
+        import ramsey_trees
+        print(sorted(m for m in sys.modules if m.startswith("ramsey_trees.")))
+    """)
+    assert out == "[]\n"
+
+
+_ARROW = {"tree", "embedding", "coloring", "arrows"}
+
+# One invocation of each subcommand and the submodules it loads besides
+# errors and limits, which cli.py imports for every command.
+_COMMAND_LOADS = [
+    (["gen", "perfect", "2"], {"tree"}),
+    (["copies", "((,),(,))", "(,)"], {"tree", "embedding"}),
+    (["induce", "((,),(,))", "[0,1,3]"], {"tree", "embedding"}),
+    (["encode", "((a,b),c)"], {"tree", "embedding", "triples"}),
+    (["decode", "{structure}"], {"tree", "embedding", "triples"}),
+    (["check-arrow", "((,),(,))", "(,)", "", "2"], _ARROW),
+    (["min-height", "(,)", "", "2"], _ARROW),
+    (["find-bad", "((,),(,))", "(,)", "", "2"], _ARROW),
+    (["extract-mono", "(,)", "2", "{coloring}"], _ARROW),
+    (["chain", "(,)", "", "4"], _ARROW),
+    (["extract-k", "{chain}", "{chain_coloring}"], _ARROW),
+    (["selftest"], _ARROW | {"triples", "selftest"}),
+]
+
+
+@pytest.mark.parametrize("argv, loads", _COMMAND_LOADS, ids=[a[0] for a, _ in _COMMAND_LOADS])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, loads):
+    chain = build_reduction_chain(parse_newick("(,)"), leaf(), 4)
+    top = chain.trees[-1]
+    inputs = {
+        "structure": structure_of(parse_newick("((a,b),c)")).to_json_obj(),
+        "coloring": Coloring.from_leaf_colors(iterate(parse_newick("(,)"), 2), [0, 1, 0, 1], 2)
+        .to_json_obj(),
+        "chain": chain.to_json_obj(),
+        "chain_coloring": Coloring.from_leaf_colors(
+            top, [i % 4 for i in range(top.leaf_count)], 4
+        ).to_json_obj(),
+    }
+    for name, obj in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    argv = [a.format(**{n: tmp_path / f"{n}.json" for n in inputs}) for a in argv]
+    # -S keeps site's own imports (typing among them on some installs) out of
+    # the count; -E and -B as in test_cli_runs_without_numpy.
+    out = _python("-S", "-E", "-B", "-c", """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        from ramsey_trees.cli import main
+        rc = main(json.loads(sys.argv[2]))
+        print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("ramsey_trees")),
+                          "dataclasses" in sys.modules, "typing" in sys.modules]))
+    """, str(SRC), json.dumps(argv))
+    rc, loaded, dataclasses_loaded, typing_loaded = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    base = {"ramsey_trees", "ramsey_trees.cli", "ramsey_trees.errors", "ramsey_trees.limits"}
+    assert set(loaded) == base | {f"ramsey_trees.{m}" for m in loads}
+    if loads <= {"tree", "embedding"}:
+        assert not dataclasses_loaded
+    if "selftest" not in loads:
+        assert not typing_loaded
