@@ -16,43 +16,40 @@ import itertools
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick
 from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
-from .limits import _require_int, check_enumeration
+from .limits import _Value, _require_int, check_enumeration
 from .coloring import Coloring, find_mono_copy, is_mono
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Value):
     """Limits of one arrow query: a search stops once it has taken
     max_nodes nodes, or once more than max_millis ms have passed."""
 
-    max_nodes: int = 10_000_000
-    max_millis: int = 60_000
+    _fields = ("max_nodes", "max_millis")
 
-    def __post_init__(self):
-        for name in ("max_nodes", "max_millis"):
-            _require_int(name, getattr(self, name), 0)
+    def __init__(self, max_nodes: int = 10_000_000, max_millis: int = 60_000):
+        _require_int("max_nodes", max_nodes, 0)
+        _require_int("max_millis", max_millis, 0)
+        self.__dict__.update(max_nodes=max_nodes, max_millis=max_millis)
 
 
 DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class ArrowVerdict:
+class ArrowVerdict(_Value):
     """Outcome of one arrow decision.
 
     status is "holds", "fails" (witness carries the bad coloring) or
     "unknown" (budget ran out; nodes/millis report the effort spent).
     """
 
-    status: str
-    witness: Coloring | None
-    nodes: int
-    millis: int
+    _fields = ("status", "witness", "nodes", "millis")
+
+    def __init__(self, status: str, witness: Coloring | None, nodes: int, millis: int):
+        self.__dict__.update(status=status, witness=witness, nodes=nodes, millis=millis)
 
     def to_report_obj(self) -> dict:
         return {
@@ -561,23 +558,24 @@ def extract_mono_leafcolor(
         return tuple(picks), cstar
 
 
-@dataclass(frozen=True)
-class ReductionChain:
+class ReductionChain(_Value):
     """Trees h = T0, T1, ..., Tl with Ti -> (T(i-1))^pattern_2 certified,
     l = ceil(log2 k); it reduces k-color mono search to l two-color steps."""
 
-    trees: tuple[PlaneTree, ...]
-    pattern: PlaneTree
-    k: int
-    certificates: tuple[ArrowVerdict, ...] | None = None
+    _fields = ("trees", "pattern", "k", "certificates")
 
-    def __post_init__(self):
-        _require_int("number of colors", self.k)
-        expected = (self.k - 1).bit_length() + 1
-        if len(self.trees) != expected:
-            raise ValueError(
-                f"chain for k = {self.k} needs {expected} trees, got {len(self.trees)}"
-            )
+    def __init__(
+        self,
+        trees: tuple[PlaneTree, ...],
+        pattern: PlaneTree,
+        k: int,
+        certificates: tuple[ArrowVerdict, ...] | None = None,
+    ):
+        _require_int("number of colors", k)
+        expected = (k - 1).bit_length() + 1
+        if len(trees) != expected:
+            raise ValueError(f"chain for k = {k} needs {expected} trees, got {len(trees)}")
+        self.__dict__.update(trees=trees, pattern=pattern, k=k, certificates=certificates)
 
     def verify(self, budget: SearchBudget | None = None) -> tuple[ArrowVerdict, ...]:
         """Re-check every link; raises unless each arrow conclusively holds."""
@@ -613,14 +611,10 @@ class ReductionChain:
             raise FormatError('"pattern" must be a Newick string')
         if not isinstance(obj["k"], int) or isinstance(obj["k"], bool):
             raise FormatError('"k" must be an integer')
-        chain = cls(
-            tuple(parse_newick(s) for s in obj["trees"]),
-            parse_newick(obj["pattern"]),
-            obj["k"],
-        )
-        certs = chain.verify(budget)
-        object.__setattr__(chain, "certificates", certs)
-        return chain
+        trees = tuple(parse_newick(s) for s in obj["trees"])
+        pattern = parse_newick(obj["pattern"])
+        certs = cls(trees, pattern, obj["k"]).verify(budget)
+        return cls(trees, pattern, obj["k"], certs)
 
 
 def build_reduction_chain(

@@ -229,96 +229,103 @@ def _cmd_selftest(args) -> int:
     return 0 if summary["failed"] == 0 else 1
 
 
-def _add_budget_flags(sub) -> None:
-    sub.add_argument("--budget-nodes")
-    sub.add_argument("--budget-ms")
+_BUDGET_FLAGS = ("--budget-nodes", "--budget-ms")
+
+# Each command's help, arguments in order and handler. An argument is a
+# name or a (name, keyword arguments of add_argument) pair; a dict of modes,
+# each with its help and arguments, gives the command a required mode.
+_COMMANDS = {
+    "gen": (
+        "construct trees",
+        {
+            "perfect": ("complete tree of a given height", ("height",)),
+            "substitute": ("replace each leaf of outer by inner", ("outer", "inner")),
+            "iterate": ("iterated self-substitution", ("tree", "count")),
+        },
+        _cmd_gen,
+    ),
+    "copies": (
+        "list or count copies of a pattern",
+        ("host", "pattern", ("--count-only", {"action": "store_true"})),
+        _cmd_copies,
+    ),
+    "induce": (
+        "induced subtree of a leaf subset",
+        ("host", ("leafset", {"help": 'copy reference like "[0,1,3]"'})),
+        _cmd_induce,
+    ),
+    "encode": ("tree to triple-structure JSON", ("tree",), _cmd_encode),
+    "decode": ("triple-structure JSON file to tree", ("structure",), _cmd_decode),
+    "check-arrow": (
+        "decide host -> (target)^pattern_k",
+        ("host", "target", "pattern", "k", *_BUDGET_FLAGS),
+        _cmd_check_arrow,
+    ),
+    "min-height": (
+        "least perfect-tree height that arrows target",
+        ("target", "pattern", "k", *_BUDGET_FLAGS, "--max-height"),
+        _cmd_min_height,
+    ),
+    "find-bad": (
+        "search for a coloring with no mono target-copy",
+        ("host", "target", "pattern", "k", *_BUDGET_FLAGS),
+        _cmd_find_bad,
+    ),
+    "extract-mono": (
+        "mono copy under a bounded leaf coloring",
+        ("target", "j", ("coloring", {"help": "coloring JSON file"})),
+        _cmd_extract_mono,
+    ),
+    "chain": (
+        "build a k-to-2 reduction chain",
+        ("target", "pattern", "k", *_BUDGET_FLAGS, "--max-height"),
+        _cmd_chain,
+    ),
+    "extract-k": (
+        "mono copy via a reduction chain",
+        (
+            ("chain", {"help": "chain JSON file"}),
+            ("coloring", {"help": "coloring JSON file"}),
+            *_BUDGET_FLAGS,
+        ),
+        _cmd_extract_k,
+    ),
+    "selftest": ("run the built-in oracle suite", (), _cmd_selftest),
+}
 
 
-def build_parser() -> _Parser:
+def _add_arguments(parser: _Parser, arguments) -> None:
+    if isinstance(arguments, dict):
+        modes = parser.add_subparsers(dest="mode", required=True)
+        for mode, (help_text, mode_arguments) in arguments.items():
+            _add_arguments(modes.add_parser(mode, help=help_text), mode_arguments)
+        return
+    for argument in arguments:
+        name, options = (argument, {}) if isinstance(argument, str) else argument
+        parser.add_argument(name, **options)
+
+
+def build_parser(*names: str) -> _Parser:
+    """The parser of the named commands, or of every command when none is named."""
     parser = _Parser(
         prog="ramsey-trees",
         description="Copies, triple encodings and arrow search on rooted binary plane trees.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    gen = commands.add_parser("gen", help="construct trees")
-    gen_modes = gen.add_subparsers(dest="mode", required=True)
-    gen_perfect = gen_modes.add_parser("perfect", help="complete tree of a given height")
-    gen_perfect.add_argument("height")
-    gen_sub = gen_modes.add_parser("substitute", help="replace each leaf of outer by inner")
-    gen_sub.add_argument("outer")
-    gen_sub.add_argument("inner")
-    gen_iter = gen_modes.add_parser("iterate", help="iterated self-substitution")
-    gen_iter.add_argument("tree")
-    gen_iter.add_argument("count")
-    gen.set_defaults(func=_cmd_gen)
-
-    copies = commands.add_parser("copies", help="list or count copies of a pattern")
-    copies.add_argument("host")
-    copies.add_argument("pattern")
-    copies.add_argument("--count-only", action="store_true")
-    copies.set_defaults(func=_cmd_copies)
-
-    induce = commands.add_parser("induce", help="induced subtree of a leaf subset")
-    induce.add_argument("host")
-    induce.add_argument("leafset", help='copy reference like "[0,1,3]"')
-    induce.set_defaults(func=_cmd_induce)
-
-    encode = commands.add_parser("encode", help="tree to triple-structure JSON")
-    encode.add_argument("tree")
-    encode.set_defaults(func=_cmd_encode)
-
-    decode = commands.add_parser("decode", help="triple-structure JSON file to tree")
-    decode.add_argument("structure")
-    decode.set_defaults(func=_cmd_decode)
-
-    arrow = commands.add_parser("check-arrow", help="decide host -> (target)^pattern_k")
-    for name in ("host", "target", "pattern", "k"):
-        arrow.add_argument(name)
-    _add_budget_flags(arrow)
-    arrow.set_defaults(func=_cmd_check_arrow)
-
-    minh = commands.add_parser("min-height", help="least perfect-tree height that arrows target")
-    for name in ("target", "pattern", "k"):
-        minh.add_argument(name)
-    _add_budget_flags(minh)
-    minh.add_argument("--max-height", default=None)
-    minh.set_defaults(func=_cmd_min_height)
-
-    bad = commands.add_parser("find-bad", help="search for a coloring with no mono target-copy")
-    for name in ("host", "target", "pattern", "k"):
-        bad.add_argument(name)
-    _add_budget_flags(bad)
-    bad.set_defaults(func=_cmd_find_bad)
-
-    extract = commands.add_parser("extract-mono", help="mono copy under a bounded leaf coloring")
-    extract.add_argument("target")
-    extract.add_argument("j")
-    extract.add_argument("coloring", help="coloring JSON file")
-    extract.set_defaults(func=_cmd_extract_mono)
-
-    chain = commands.add_parser("chain", help="build a k-to-2 reduction chain")
-    for name in ("target", "pattern", "k"):
-        chain.add_argument(name)
-    _add_budget_flags(chain)
-    chain.add_argument("--max-height", default=None)
-    chain.set_defaults(func=_cmd_chain)
-
-    extractk = commands.add_parser("extract-k", help="mono copy via a reduction chain")
-    extractk.add_argument("chain", help="chain JSON file")
-    extractk.add_argument("coloring", help="coloring JSON file")
-    _add_budget_flags(extractk)
-    extractk.set_defaults(func=_cmd_extract_k)
-
-    self_p = commands.add_parser("selftest", help="run the built-in oracle suite")
-    self_p.set_defaults(func=_cmd_selftest)
-
+    for name in names or _COMMANDS:
+        help_text, arguments, func = _COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text)
+        _add_arguments(sub, arguments)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    # Only the invoked command's subparser is built. Anything else (--help,
+    # no command, an unknown one) gets every command, so that its help and
+    # usage errors list them all.
+    parser = build_parser(*[name for name in argv[:1] if name in _COMMANDS])
     try:
         raw_limit = os.environ.get("RAMSEY_MAX_LEAVES")
         if raw_limit is not None:

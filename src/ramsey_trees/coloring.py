@@ -13,10 +13,8 @@ enumeration cap counts only the lists the stream builds on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import FormatError
-from .limits import _require_int
+from .limits import _Value, _require_int
 from .tree import PlaneTree, leaf, parse_newick, to_newick
 from .embedding import (
     CopyRef,
@@ -28,26 +26,26 @@ from .embedding import (
 )
 
 
-@dataclass(frozen=True, eq=True)
-class Coloring:
+class Coloring(_Value):
     """A total k-coloring of the copies of pattern inside host.
 
     The assignment maps every CopyRef from enumerate_copies(host, pattern)
     to a color in range(k); the stored dict is in lexicographic copy order.
+    A Coloring is not hashable, as its assignment is a dict.
     """
 
-    host: PlaneTree
-    pattern: PlaneTree
-    k: int
-    assignment: dict[CopyRef, int] = field(compare=True)
+    _fields = ("host", "pattern", "k", "assignment")
 
-    def __post_init__(self):
-        _require_int("number of colors", self.k)
-        copies = enumerate_copies(self.host, self.pattern)
-        given = self.assignment
+    def __init__(
+        self, host: PlaneTree, pattern: PlaneTree, k: int, assignment: dict[CopyRef, int]
+    ):
+        _require_int("number of colors", k)
+        copies = enumerate_copies(host, pattern)
+        given = assignment
         if len(given) != len(copies) or any(c not in given for c in copies):
             missing = [c for c in copies if c not in given]
-            extra = [c for c in given if c not in set(copies)]
+            known = set(copies)
+            extra = [c for c in given if c not in known]
             parts = []
             if missing:
                 parts.append(f"missing copies {missing[:3]}{'...' if len(missing) > 3 else ''}")
@@ -56,9 +54,9 @@ class Coloring:
             raise ValueError("assignment must cover every copy exactly once: " + "; ".join(parts))
         for c in copies:
             col = given[c]
-            if not isinstance(col, int) or isinstance(col, bool) or not 0 <= col < self.k:
-                raise ValueError(f"color of copy {list(c)} must be in [0, {self.k}), got {col!r}")
-        object.__setattr__(self, "assignment", {c: given[c] for c in copies})
+            if not isinstance(col, int) or isinstance(col, bool) or not 0 <= col < k:
+                raise ValueError(f"color of copy {list(c)} must be in [0, {k}), got {col!r}")
+        self.__dict__.update(host=host, pattern=pattern, k=k, assignment={c: given[c] for c in copies})
 
     @classmethod
     def uniform(cls, host: PlaneTree, pattern: PlaneTree, k: int, color: int) -> "Coloring":

@@ -20,13 +20,12 @@ items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
 from math import comb
 from operator import itemgetter
 
 from .errors import InconsistentTriplesError, FormatError
-from .limits import check_enumeration
+from .limits import _Value, check_enumeration
 from .tree import PlaneTree, leaf, node
 from .embedding import leaf_labels
 
@@ -44,8 +43,7 @@ def _check_identity(ident: str) -> None:
         raise ValueError(f"leaf identity may not have surrounding whitespace: {ident!r}")
 
 
-@dataclass(frozen=True)
-class TripleStructure:
+class TripleStructure(_Value):
     """Ordered domain of leaf identities plus a symmetric triple relation.
 
     The constructor checks symmetry, distinctness and domain membership; it
@@ -53,20 +51,17 @@ class TripleStructure:
     decides that) nor that every 3-subset is oriented.
     """
 
-    domain: tuple[str, ...]
-    triples: frozenset[Triple]
+    _fields = ("domain", "triples")
 
-    def __post_init__(self):
-        object.__setattr__(self, "domain", tuple(self.domain))
-        triples = self.triples
+    def __init__(self, domain: tuple[str, ...], triples: frozenset[Triple]):
+        domain = tuple(domain)
         # A frozenset of tuples (what structure_of builds) is kept as given.
         if not (type(triples) is frozenset and {*map(type, triples)} <= {tuple}):
             triples = frozenset(map(tuple, triples))
-            object.__setattr__(self, "triples", triples)
-        if not self.domain:
+        if not domain:
             raise ValueError("domain must be nonempty")
         seen = set()
-        for ident in self.domain:
+        for ident in domain:
             _check_identity(ident)
             if ident in seen:
                 raise ValueError(f"duplicate leaf identity: {ident!r}")
@@ -84,6 +79,7 @@ class TripleStructure:
         if not triples.issuperset(map(_swap, triples)):
             bad = next(t for t in triples if _swap(t) not in triples)
             raise ValueError(f"triple relation must be symmetric in the first two slots: {bad!r}")
+        self.__dict__.update(domain=domain, triples=triples)
 
     def to_json_obj(self) -> dict:
         pos = {x: i for i, x in enumerate(self.domain)}

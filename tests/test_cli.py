@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +8,7 @@ import pytest
 
 import ramsey_trees
 from ramsey_trees import (
+    ArrowVerdict,
     Coloring,
     SearchBudget,
     iterate,
@@ -16,7 +16,7 @@ from ramsey_trees import (
     perfect_tree,
     set_max_enumeration,
 )
-from ramsey_trees import selftest
+from ramsey_trees import cli, selftest
 from ramsey_trees.cli import _budget, build_parser, main
 
 CAT3 = "((,),)"
@@ -281,6 +281,49 @@ def test_usage_errors_exit_1(capsys):
     assert "usage error:" in err
 
 
+COMMANDS = ["gen", "copies", "induce", "encode", "decode", "check-arrow", "min-height",
+            "find-bad", "extract-mono", "chain", "extract-k", "selftest"]
+
+PARSER_CASES = [
+    ["--help"],
+    ["no-such-command"],
+    ["check-arrow"],
+    ["check-arrow", "a", "b", "c", "d", "extra"],
+    ["gen", "no-such-mode"],
+    ["gen", "perfect", "--help"],
+    *([name, "--help"] for name in COMMANDS),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exit_info:
+        rc = ("exit", exit_info.code)
+    return (rc, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_of_one_command_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    full_parser = cli.build_parser
+    built = []
+
+    def narrowed_parser(*names):
+        built.append(names)
+        return full_parser(*names)
+
+    monkeypatch.setattr(cli, "build_parser", narrowed_parser)
+    narrowed = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", lambda *names: full_parser())
+    assert narrowed == _outcome(capsys, argv)
+    assert built == [tuple(argv[:1]) if argv[0] in COMMANDS else ()]
+    rc, out, err = narrowed
+    if argv[-1] == "--help":
+        assert (rc, err) == (("exit", 0), "") and out.startswith("usage: ramsey-trees")
+    else:
+        assert (rc, out) == (1, "") and err.startswith("usage error: ")
+
+
 def test_env_leaf_guard(capsys, monkeypatch):
     monkeypatch.setenv("RAMSEY_MAX_LEAVES", "8")
     rc, _, err = run(capsys, "gen", "perfect", "4")
@@ -328,12 +371,12 @@ def _changing_cherry_query(change):
 
 
 def _flip_verdict(v):
-    return dataclasses.replace(v, status="holds", witness=None)
+    return ArrowVerdict("holds", None, v.nodes, v.millis)
 
 
 def _spoil_witness(v):
     w = v.witness
-    return dataclasses.replace(v, witness=Coloring.uniform(w.host, w.pattern, w.k, 0))
+    return ArrowVerdict(v.status, Coloring.uniform(w.host, w.pattern, w.k, 0), v.nodes, v.millis)
 
 
 def _dropping_last_copy():

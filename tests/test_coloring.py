@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -43,6 +44,24 @@ def test_constructor_requires_totality():
     extra[(0, 1, 2)] = 0
     with pytest.raises(ValueError, match="unknown copies"):
         Coloring(t2, CHERRY, 2, extra)
+
+
+def test_wrong_key_is_reported_in_linear_time():
+    # Each key used to be checked against a set of all copies rebuilt for it,
+    # which took minutes on this 32,640-copy host.
+    host = perfect_tree(8)
+    assignment = dict(Coloring.uniform(host, CHERRY, 2, 0).assignment)
+    assert len(assignment) == 32_640
+    del assignment[(254, 255)]
+    assignment[(1, 0)] = 0
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        Coloring(host, CHERRY, 2, assignment)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == (
+        "assignment must cover every copy exactly once: "
+        "missing copies [(254, 255)]; unknown copies [(1, 0)]"
+    )
 
 
 def test_constructor_checks_colors_and_k():

@@ -38,15 +38,30 @@ def _python(*args, first=None):
     return proc.stdout
 
 
+PACKAGE_FILES = list(pathlib.Path(ramsey_trees.__file__).parent.glob("*.py"))
+
+
+def _top_level_imports(path):
+    """The top-level packages of the modules that a file's import statements name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    return {m.split(".")[0] for m in imported}
+
+
 def test_no_file_imports_numpy():
-    package = pathlib.Path(ramsey_trees.__file__).parent
-    files = list(package.glob("*.py")) + list(pathlib.Path(__file__).parent.rglob("*.py"))
+    files = PACKAGE_FILES + list(pathlib.Path(__file__).parent.rglob("*.py"))
     assert len(files) > 15
     for path in files:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
-        imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
-        assert not [m for m in imported if m.split(".")[0] == "numpy"], path
+        assert "numpy" not in _top_level_imports(path), path
+
+
+def test_no_package_module_imports_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, in every CLI
+    # process that loads the module that imports it.
+    assert len(PACKAGE_FILES) > 8
+    for path in PACKAGE_FILES:
+        assert not _top_level_imports(path) & {"dataclasses", "inspect"}, path
 
 
 def test_import_registers_numpy_without_running_it():
@@ -173,13 +188,13 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, loads):
         from ramsey_trees.cli import main
         rc = main(json.loads(sys.argv[2]))
         print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("ramsey_trees")),
-                          "dataclasses" in sys.modules, "typing" in sys.modules]))
+                          sorted({"dataclasses", "inspect"} & set(sys.modules)),
+                          "typing" in sys.modules]))
     """, str(SRC), json.dumps(argv))
-    rc, loaded, dataclasses_loaded, typing_loaded = json.loads(out.splitlines()[-1])
+    rc, loaded, costly, typing_loaded = json.loads(out.splitlines()[-1])
     assert rc == 0
     base = {"ramsey_trees", "ramsey_trees.cli", "ramsey_trees.errors", "ramsey_trees.limits"}
     assert set(loaded) == base | {f"ramsey_trees.{m}" for m in loads}
-    if loads <= {"tree", "embedding"}:
-        assert not dataclasses_loaded
+    assert costly == []
     if "selftest" not in loads:
         assert not typing_loaded
