@@ -5,9 +5,10 @@ in T admit a copy of H all of whose inner P-copies share one color? The
 negation is a constraint problem: one variable per P-copy, domain 0..k-1,
 and a not-all-equal constraint per H-copy; a solution is a "bad" coloring
 and the arrow Fails, exhaustion means it Holds, and exceeding the search
-budget yields Unknown. When P is a single leaf the colorings are leaf
-colorings, and a dynamic program over host subtrees decides the arrow
-without building the constraints.
+budget yields Unknown. A host without a copy of H, or an H with at most
+one copy of P, settles the arrow without either. When P is a single leaf
+the colorings are leaf colorings, and a dynamic program over host subtrees
+decides the arrow without building the constraints.
 """
 
 from __future__ import annotations
@@ -65,29 +66,21 @@ def _arrow_edges(
     target: PlaneTree,
     pattern: PlaneTree,
     expired: Callable[[], bool] = lambda: False,
-) -> tuple[list[CopyRef], list[tuple[int, ...]] | None]:
+) -> tuple[list[CopyRef], list[tuple[int, ...]]]:
     """Variables (P-copies) and NAE constraints (inner P-copies per H-copy).
 
     Every H-copy induces a tree isomorphic to target, so its inner P-copies
     are enumerate_copies(target, pattern) relabeled through the H-copy's
     leaves; that template is enumerated once and mapped through each copy.
-    Returns (variables, edges); edges is None when the template has at most
-    one copy and some H-copy exists, which makes the arrow hold under every
-    coloring. The H-copies are charged to the enumeration cap by count and
-    read from the copy stream, never all held; expired is polled every 1024
-    of them (not while the stream builds a right-part list) and, when it
-    returns True, BudgetExhaustedError is raised.
+    Returns (variables, edges); on a query check_arrow has not settled,
+    edges is nonempty and every edge has two members or more. The H-copies are charged to the enumeration cap by
+    count and read from the copy stream, never all held; expired is polled
+    every 1024 of them (not while the stream builds a right-part list) and,
+    when it returns True, BudgetExhaustedError is raised.
     """
     variables = enumerate_copies(host, pattern)
-    n_h = count_copies(host, target)
-    check_enumeration(n_h)
-    if not n_h:
-        # a target with no copies may be larger than the host: its template
-        # is not needed and could exceed the enumeration cap
-        return variables, []
+    check_enumeration(count_copies(host, target))
     template = enumerate_copies(target, pattern)
-    if len(template) <= 1:
-        return variables, None
     var_index = {c: i for i, c in enumerate(variables)}
     edges: set[tuple[int, ...]] = set()
     for n, hc in enumerate(_copies(host, target)):
@@ -108,21 +101,17 @@ def check_arrow(
 ) -> ArrowVerdict:
     """Decide host -> (target)^pattern_k within a node/time budget.
 
-    A single-leaf pattern makes the question one about leaf colorings; it is
-    decided exactly by a dynamic program over host subtrees (_leaf_arrow).
-    Every other pattern goes to the constraint search (_search_arrow). Both
-    are deterministic, verify every witness they return, and answer Unknown
-    when the budget runs out.
+    Two cases are settled here with 0 nodes: a host without a copy of
+    target fails (the witness gives every P-copy color 0), and a target
+    with at most one copy of pattern holds, with no copy listed. Any other
+    query goes to an engine: a dynamic program over host subtrees for a
+    single-leaf pattern (_leaf_arrow), the constraint search otherwise
+    (_search_arrow). Both are deterministic, re-verify every bad coloring
+    they return, and answer Unknown when the budget, which covers the whole
+    query, runs out.
     """
     _require_int("number of colors", k)
     budget = budget or DEFAULT_BUDGET
-    if pattern.is_leaf:
-        return _leaf_arrow(host, target, pattern, k, budget)
-    return _search_arrow(host, target, pattern, k, budget)
-
-
-def _clock(budget: SearchBudget) -> tuple[Callable[[], int], Callable[[], bool]]:
-    """(elapsed_ms, expired) measured from now against budget.max_millis."""
     t0 = time.monotonic()
 
     def elapsed_ms() -> int:
@@ -131,7 +120,15 @@ def _clock(budget: SearchBudget) -> tuple[Callable[[], int], Callable[[], bool]]
     def expired() -> bool:
         return elapsed_ms() > budget.max_millis
 
-    return elapsed_ms, expired
+    if count_copies(host, target) == 0:
+        status, witness, nodes = "fails", Coloring.uniform(host, pattern, k, 0), 0
+    elif count_copies(target, pattern) <= 1:
+        status, witness, nodes = "holds", None, 0
+    else:
+        engine = _leaf_arrow if pattern.is_leaf else _search_arrow
+        status, assignment, nodes = engine(host, target, pattern, k, budget.max_nodes, expired)
+        witness = None if assignment is None else Coloring(host, pattern, k, assignment)
+    return ArrowVerdict(status, witness, nodes, elapsed_ms())
 
 
 def _search_arrow(
@@ -139,17 +136,21 @@ def _search_arrow(
     target: PlaneTree,
     pattern: PlaneTree,
     k: int,
-    budget: SearchBudget,
-) -> ArrowVerdict:
+    max_nodes: int,
+    expired: Callable[[], bool],
+) -> tuple[str, dict[CopyRef, int] | None, int]:
     """Backtracking over the NAE constraints of _arrow_edges, for any pattern.
 
-    Variables are tried most-constrained first (descending constraint
-    degree, ties by lexicographic copy order), colors in increasing order,
-    and the first variable is pinned to color 0 (sound by color-permutation
-    symmetry). The witness of a Fails verdict is the first bad coloring that
-    order encounters; a node is one color tried for one variable. The time
-    budget covers constraint construction too: running out before the search
-    starts gives Unknown with 0 nodes.
+    Returns (status, the bad coloring's assignment or None, nodes) for a
+    query that check_arrow has not settled. Variables are tried
+    most-constrained first (descending constraint degree, ties by
+    lexicographic copy order), colors in increasing order, and the first
+    variable is pinned to color 0 (sound by color-permutation symmetry). The
+    witness of a Fails verdict is the first bad coloring that order
+    encounters; a node is one color tried for one variable. The search
+    stops after max_nodes nodes or when expired() says so; expired is
+    polled during constraint construction too, and running out before the
+    search starts gives Unknown with 0 nodes.
 
     The order is static. The search names each variable by its depth d in
     it, so when d gets a color the assigned variables are exactly 0..d. A
@@ -169,19 +170,13 @@ def _search_arrow(
     changes, and the untried colors and trail marks are lists indexed by
     depth.
     """
-    elapsed_ms, expired = _clock(budget)
     try:
         variables, edges = _arrow_edges(host, target, pattern, expired)
     except BudgetExhaustedError:
-        return ArrowVerdict("unknown", None, 0, elapsed_ms())
+        return "unknown", None, 0
     if expired():
-        return ArrowVerdict("unknown", None, 0, elapsed_ms())
+        return "unknown", None, 0
     m = len(variables)
-    if edges is None:
-        return ArrowVerdict("holds", None, 0, elapsed_ms())
-    if not edges:
-        witness = Coloring(host, pattern, k, {c: 0 for c in variables})
-        return ArrowVerdict("fails", witness, 0, elapsed_ms())
 
     degree = Counter(itertools.chain.from_iterable(edges))
     order = sorted(range(m), key=lambda v: (-degree[v], v))
@@ -210,10 +205,9 @@ def _search_arrow(
     trail: list[tuple[int, int]] = []  # (variable, domain before the change)
     untried = [0] * m  # per depth: colors of d not yet tried
     marks = [0] * m  # per depth: trail length before d got its color
-    max_nodes = budget.max_nodes
 
     nodes = 0
-    status = None
+    status = "holds"  # unless the search stops early
     d = 0
     untried[0] = domain[0]
     while True:
@@ -272,11 +266,8 @@ def _search_arrow(
         for e in edges:
             if len({colors[v] for v in e}) <= 1:
                 raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
-        witness = Coloring(host, pattern, k, dict(zip(variables, colors)))
-        return ArrowVerdict("fails", witness, nodes, elapsed_ms())
-    if status == "unknown":
-        return ArrowVerdict("unknown", None, nodes, elapsed_ms())
-    return ArrowVerdict("holds", None, nodes, elapsed_ms())
+        return "fails", dict(zip(variables, colors)), nodes
+    return status, None, nodes
 
 
 def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
@@ -329,9 +320,14 @@ def _leaf_arrow(
     target: PlaneTree,
     pattern: PlaneTree,
     k: int,
-    budget: SearchBudget,
-) -> ArrowVerdict:
+    max_nodes: int,
+    expired: Callable[[], bool],
+) -> tuple[str, dict[CopyRef, int] | None, int]:
     """Decide host -> (target)^leaf_k by dynamic programming over host subtrees.
+
+    Returns (status, the bad leaf coloring's assignment or None, nodes) for
+    a query that check_arrow has not settled, so host has a copy of target
+    and target is not a leaf.
 
     The state of a host subtree under a leaf coloring is a tuple of k
     bitmasks, one per color, of the target subtree shapes that embed in the
@@ -349,15 +345,10 @@ def _leaf_arrow(
     memoized on object identity, so shared subtrees are solved once, and
     all leaves share one entry. A vertex without states makes the arrow
     hold at once: every coloring of the host restricts to one of it. The
-    time budget also covers rebuilding and re-verifying the bad coloring.
+    search stops after max_nodes nodes or when expired() says so, which is
+    polled while the bad coloring is rebuilt and re-verified too.
     """
-    elapsed_ms, expired = _clock(budget)
     n = host.leaf_count
-    if count_copies(host, target) == 0:
-        witness = Coloring(host, pattern, k, {(i,): 0 for i in range(n)})
-        return ArrowVerdict("fails", witness, 0, elapsed_ms())
-    if target.is_leaf:
-        return ArrowVerdict("holds", None, 0, elapsed_ms())
     splits, full = _target_splits(target)
     grown: dict[tuple[int, int], int] = {}
 
@@ -393,10 +384,10 @@ def _leaf_arrow(
             stack.pop()
             continue
         if expired():
-            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+            return "unknown", None, nodes
         if v.is_leaf:
-            if nodes >= budget.max_nodes:
-                return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+            if nodes >= max_nodes:
+                return "unknown", None, nodes
             nodes += 1
             memo[0] = {(0,) * (k - 1) + (1,): None}
             stack.pop()
@@ -413,18 +404,18 @@ def _leaf_arrow(
                 for rp in perms:
                     steps += 1
                     if not steps & 1023 and expired():
-                        return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+                        return "unknown", None, nodes
                     merged = combine(ls, rp)
                     if merged is None:
                         continue
                     s = tuple(sorted(merged))
                     if s not in states:
-                        if nodes >= budget.max_nodes:
-                            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+                        if nodes >= max_nodes:
+                            return "unknown", None, nodes
                         nodes += 1
                         states[s] = (ls, rs, rp)
         if not states:
-            return ArrowVerdict("holds", None, nodes, elapsed_ms())
+            return "holds", None, nodes
         memo[key(v)] = states
         stack.pop()
 
@@ -436,7 +427,7 @@ def _leaf_arrow(
     while walk:
         steps += 1
         if not steps & 1023 and expired():
-            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+            return "unknown", None, nodes
         v, state, col, lo = walk.pop()
         if v.is_leaf:
             colors[lo] = col[k - 1]  # the leaf state's one nonzero mask
@@ -459,16 +450,15 @@ def _leaf_arrow(
     colors = [first.setdefault(c, len(first)) for c in colors]
     for c in range(len(first)):
         if expired():
-            return ArrowVerdict("unknown", None, nodes, elapsed_ms())
+            return "unknown", None, nodes
         part = [i for i in range(n) if colors[i] == c]
         if count_copies(induced_subtree(host, part), target):
             raise RuntimeError(
                 f"internal error: bad leaf coloring has a copy of the target in color {c}"
             )
     if expired():
-        return ArrowVerdict("unknown", None, nodes, elapsed_ms())
-    witness = Coloring(host, pattern, k, {(i,): c for i, c in enumerate(colors)})
-    return ArrowVerdict("fails", witness, nodes, elapsed_ms())
+        return "unknown", None, nodes
+    return "fails", {(i,): c for i, c in enumerate(colors)}, nodes
 
 
 def min_arrow_height_scan(

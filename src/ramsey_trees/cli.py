@@ -71,6 +71,25 @@ def _budget(args):
     )
 
 
+def _max_height(args):
+    """The --max-height flag as an integer, None when omitted."""
+    return None if args.max_height is None else _int_arg("--max-height", args.max_height, 0)
+
+
+def _arrow_query(args):
+    """check_arrow on the host, target, pattern, k and budget arguments,
+    read in that order, so the first bad one names the error."""
+    from .arrows import check_arrow
+
+    return check_arrow(
+        _tree_arg(args.host),
+        _tree_arg(args.target),
+        _tree_arg(args.pattern),
+        _int_arg("k", args.k, 1),
+        _budget(args),
+    )
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
@@ -126,15 +145,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_check_arrow(args) -> int:
-    from .arrows import check_arrow
-
-    verdict = check_arrow(
-        _tree_arg(args.host),
-        _tree_arg(args.target),
-        _tree_arg(args.pattern),
-        _int_arg("k", args.k, 1),
-        _budget(args),
-    )
+    verdict = _arrow_query(args)
     _emit(verdict.to_report_obj())
     return 2 if verdict.status == "unknown" else 0
 
@@ -142,7 +153,7 @@ def _cmd_check_arrow(args) -> int:
 def _cmd_min_height(args) -> int:
     from .arrows import min_arrow_height_scan
 
-    max_height = None if args.max_height is None else _int_arg("--max-height", args.max_height, 0)
+    max_height = _max_height(args)
     found, scan = min_arrow_height_scan(
         _tree_arg(args.target),
         _tree_arg(args.pattern),
@@ -163,15 +174,7 @@ def _cmd_min_height(args) -> int:
 
 
 def _cmd_find_bad(args) -> int:
-    from .arrows import check_arrow
-
-    verdict = check_arrow(
-        _tree_arg(args.host),
-        _tree_arg(args.target),
-        _tree_arg(args.pattern),
-        _int_arg("k", args.k, 1),
-        _budget(args),
-    )
+    verdict = _arrow_query(args)
     if verdict.status == "fails":
         _emit(verdict.witness.to_json_obj())
         return 0
@@ -198,7 +201,7 @@ def _cmd_extract_mono(args) -> int:
 def _cmd_chain(args) -> int:
     from .arrows import build_reduction_chain
 
-    max_height = None if args.max_height is None else _int_arg("--max-height", args.max_height, 0)
+    max_height = _max_height(args)
     chain = build_reduction_chain(
         _tree_arg(args.target),
         _tree_arg(args.pattern),

@@ -84,20 +84,11 @@ class PlaneTree:
             return NotImplemented
         if self._hash != other._hash or self.leaf_count != other.leaf_count:
             return False
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.is_leaf != b.is_leaf:
-                return False
-            if a.is_leaf:
-                if a.label != b.label:
-                    return False
-            else:
-                stack.append((a.left, b.left))
-                stack.append((a.right, b.right))
-        return True
+        return _same(self, other, True)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the hash is this process's
+        return PlaneTree, (self.left, self.right, self.label)
 
     def __repr__(self) -> str:
         if self.leaf_count > 64:
@@ -252,10 +243,8 @@ def shape_key(t: PlaneTree) -> str:
     return _write(t, False)
 
 
-def iso(a: PlaneTree, b: PlaneTree) -> bool:
-    """Plane isomorphism: same ordered shape, labels ignored."""
-    if a.leaf_count != b.leaf_count or a.height != b.height:
-        return False
+def _same(a: PlaneTree, b: PlaneTree, labels: bool) -> bool:
+    """a and b have the same ordered shape and, if labels, the same leaf labels."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -266,7 +255,16 @@ def iso(a: PlaneTree, b: PlaneTree) -> bool:
         if not x.is_leaf:
             stack.append((x.left, y.left))
             stack.append((x.right, y.right))
+        elif labels and x.label != y.label:
+            return False
     return True
+
+
+def iso(a: PlaneTree, b: PlaneTree) -> bool:
+    """Plane isomorphism: same ordered shape, labels ignored."""
+    if a.leaf_count != b.leaf_count or a.height != b.height:
+        return False
+    return _same(a, b, False)
 
 
 def perfect_tree(c: int) -> PlaneTree:

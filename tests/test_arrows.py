@@ -21,6 +21,7 @@ from ramsey_trees import (
     build_reduction_chain,
     catalan,
     check_arrow,
+    count_copies,
     extract_mono_k,
     extract_mono_leafcolor,
     is_copy,
@@ -62,6 +63,16 @@ def test_check_arrow_frozen_verdicts():
     v = check_arrow(CHERRY, CAT3, leaf(), 2)
     assert v.status == "fails" and v.nodes == 0
     assert v.witness.assignment == {(0,): 0, (1,): 0}
+
+
+def test_settled_queries_list_no_copies():
+    # A target with one copy of the pattern holds before any P-copy is
+    # listed: P12 has 8,386,560 cherries and P5 more P2s than the cap allows.
+    v = check_arrow(perfect_tree(12), CHERRY, CHERRY, 2)
+    assert (v.status, v.witness, v.nodes) == ("holds", None, 0)
+    set_max_enumeration(100)
+    v = check_arrow(perfect_tree(5), perfect_tree(2), perfect_tree(2), 2)
+    assert (v.status, v.witness, v.nodes) == ("holds", None, 0)
 
 
 def test_check_arrow_is_deterministic():
@@ -134,8 +145,14 @@ def test_arrow_edges_match_subset_oracle():
     for host in hosts:
         for target in targets:
             for pattern in patterns:
-                expected = brute_arrow_edges(host, target, pattern)
-                assert _arrow_edges(host, target, pattern) == expected, (host, target, pattern)
+                variables, edges = brute_arrow_edges(host, target, pattern)
+                got = _arrow_edges(host, target, pattern)
+                if edges is None:
+                    # check_arrow settles these before building constraints
+                    assert count_copies(target, pattern) <= 1, (host, target, pattern)
+                    assert got[0] == variables, (host, target, pattern)
+                else:
+                    assert got == (variables, edges), (host, target, pattern)
 
 
 def test_check_arrow_budget_covers_construction():
@@ -176,7 +193,7 @@ def test_search_arrow_pinned_path():
     # pruning fix its search tree; a rewrite of its state must walk the
     # same tree, so node counts and witnesses are pinned exactly.
     p4, p2, mirror = perfect_tree(4), perfect_tree(2), parse_newick("(,(,))")
-    v = arrows._search_arrow(p4, CAT3, CHERRY, 3, SearchBudget(max_nodes=20_000))
+    v = check_arrow(p4, CAT3, CHERRY, 3, SearchBudget(max_nodes=20_000))
     assert (v.status, v.nodes) == ("fails", 3184)
     colors = "".join(str(v.witness.assignment[c]) for c in sorted(v.witness.assignment))
     assert colors == (
@@ -185,9 +202,9 @@ def test_search_arrow_pinned_path():
     )
     assert check_witness(p4, CAT3, v.witness)
     for target, max_nodes in ((CAT3, 20_000), (mirror, 20_000), (p2, 5_000)):
-        v = arrows._search_arrow(p4, target, CHERRY, 2, SearchBudget(max_nodes=max_nodes))
+        v = check_arrow(p4, target, CHERRY, 2, SearchBudget(max_nodes=max_nodes))
         assert (v.status, v.witness, v.nodes) == ("unknown", None, max_nodes), target
-    v = arrows._search_arrow(p4, p2, CAT3, 2, SearchBudget())
+    v = check_arrow(p4, p2, CAT3, 2, SearchBudget())
     assert (v.status, v.nodes) == ("holds", 2)
 
     hosts = [t for n in range(1, 7) for t in all_trees(n)] + [perfect_tree(3)]
@@ -196,7 +213,7 @@ def test_search_arrow_pinned_path():
     budget = SearchBudget(max_nodes=5_000)
     digest = hashlib.sha256()
     for host, target, pattern, k in itertools.product(hosts, targets, patterns, (1, 2, 3)):
-        v = arrows._search_arrow(host, target, pattern, k, budget)
+        v = check_arrow(host, target, pattern, k, budget)
         witness = None if v.witness is None else sorted(v.witness.assignment.items())
         digest.update(repr((v.status, v.nodes, witness)).encode())
     assert digest.hexdigest() == "c7c66d44d0a7af605423db88b899f78e779858e6bc89758248198f8e208f8356"
@@ -213,7 +230,7 @@ def test_search_arrow_pinned_path_on_p4():
     digest = hashlib.sha256()
     statuses = []
     for target, pattern, k in itertools.product(targets, patterns, (2, 3)):
-        v = arrows._search_arrow(p4, target, pattern, k, budget)
+        v = check_arrow(p4, target, pattern, k, budget)
         statuses.append(v.status)
         witness = None if v.witness is None else sorted(v.witness.assignment.items())
         digest.update(repr((v.status, v.nodes, witness)).encode())
@@ -230,7 +247,7 @@ def test_search_budget_validates_its_fields():
         with pytest.raises(ValueError):
             SearchBudget(max_millis=bad)
     assert SearchBudget(0, 0) == SearchBudget(max_nodes=0, max_millis=0)
-    v = arrows._search_arrow(perfect_tree(4), CAT3, CHERRY, 2, SearchBudget(max_nodes=1))
+    v = check_arrow(perfect_tree(4), CAT3, CHERRY, 2, SearchBudget(max_nodes=1))
     assert (v.status, v.nodes) == ("unknown", 1)
 
 
@@ -247,18 +264,23 @@ def test_search_arrow_time_budget():
 def test_leaf_arrow_matches_search_oracle():
     # The constraint search decides leaf patterns too and is the oracle here;
     # on P3 and P4 hosts it may run out of nodes, where nothing is compared.
+    # The queries check_arrow settles before either engine starts are
+    # compared with exhaustion instead.
     hosts = [t for n in range(1, 8) for t in all_trees(n)] + [perfect_tree(3), perfect_tree(4)]
     targets = [t for n in range(1, 5) for t in all_trees(n)]
-    budget = SearchBudget(max_nodes=20_000)
     decided = 0
     for host in hosts:
         for target in targets:
             for k in (1, 2, 3):
                 got = check_arrow(host, target, leaf(), k)
                 assert got.status != "unknown", (host, target, k)
-                want = arrows._search_arrow(host, target, leaf(), k, budget)
-                if want.status != "unknown":
-                    assert got.status == want.status, (host, target, k)
+                if count_copies(host, target) == 0 or target.is_leaf:
+                    assert got.nodes == 0, (host, target, k)
+                    want = brute_arrow_status(host, target, leaf(), k)
+                else:
+                    want = arrows._search_arrow(host, target, leaf(), k, 20_000, lambda: False)[0]
+                if want != "unknown":
+                    assert got.status == want, (host, target, k)
                     decided += 1
                 if got.status == "fails":
                     assert check_witness(host, target, got.witness), (host, target, k)

@@ -15,6 +15,7 @@ from ramsey_trees import (
     parse_newick,
     perfect_tree,
     set_max_enumeration,
+    to_newick,
 )
 from ramsey_trees import cli, selftest
 from ramsey_trees.cli import _budget, build_parser, main
@@ -141,6 +142,13 @@ def test_check_arrow_verdicts(capsys):
         {"copy": [0], "color": 0},
         {"copy": [1], "color": 1},
     ]
+
+
+def test_check_arrow_settles_without_listing_copies(capsys):
+    rc, out, _ = run(capsys, "check-arrow", to_newick(perfect_tree(12)), "(,)", "(,)", "2")
+    assert rc == 0
+    obj = json.loads(out)
+    assert (obj["verdict"], obj["witness"], obj["nodes"]) == ("holds", None, 0)
 
 
 def test_check_arrow_budget_exit_code(capsys):

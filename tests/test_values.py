@@ -3,11 +3,16 @@ hashing by fields, the field-by-field repr, no assignment or deletion, and
 construction, copying and pickling."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
+import ramsey_trees
 from ramsey_trees import (
     ArrowVerdict,
     Coloring,
@@ -111,11 +116,39 @@ def test_fields_can_be_neither_assigned_nor_deleted(cls):
 @pytest.mark.parametrize("cls", CASES, ids=ids)
 def test_copy_deepcopy_and_pickle_give_equal_values(cls):
     value = cls(*CASES[cls][0])
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    pickled = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.copy(value), copy.deepcopy(value), *pickled):
         assert type(twin) is cls
         assert twin == value
         with pytest.raises(AttributeError):
             setattr(twin, next(iter(CASES[cls][1])), None)
+
+
+def test_a_tree_pickled_under_another_hash_seed_is_equal():
+    # A tree's hash is built from string hashes, which differ between
+    # processes; under two seeds at least one differs from this process's.
+    text = "((a,(,)),(b,c))"
+    src = str(Path(ramsey_trees.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import pickle, sys\n"
+        "from ramsey_trees import Coloring, parse_newick\n"
+        f"t = parse_newick({text!r})\n"
+        "chi = Coloring.from_leaf_colors(t, [0, 1, 0, 1, 1], 2)\n"
+        "sys.stdout.buffer.write(pickle.dumps((t, chi)))\n"
+    )
+    tree = parse_newick(text)
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, chi = pickle.loads(proc.stdout)
+        assert loaded == tree and hash(loaded) == hash(tree)
+        assert chi == Coloring.from_leaf_colors(tree, [0, 1, 0, 1, 1], 2)
 
 
 def test_hash_follows_the_fields():
