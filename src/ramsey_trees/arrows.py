@@ -22,7 +22,7 @@ from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick
 from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
 from .limits import _Value, _require_int, check_enumeration
-from .coloring import Coloring, find_mono_copy, is_mono
+from .coloring import Coloring, _relabel, find_mono_copy, is_mono
 
 
 class SearchBudget(_Value):
@@ -71,16 +71,17 @@ def _arrow_edges(
 
     Every H-copy induces a tree isomorphic to target, so its inner P-copies
     are enumerate_copies(target, pattern) relabeled through the H-copy's
-    leaves; that template is enumerated once and mapped through each copy.
-    Returns (variables, edges); on a query check_arrow has not settled,
-    edges is nonempty and every edge has two members or more. The H-copies are charged to the enumeration cap by
-    count and read from the copy stream, never all held; expired is polled
-    every 1024 of them (not while the stream builds a right-part list) and,
-    when it returns True, BudgetExhaustedError is raised.
+    leaves; that template is enumerated once and turned into one _relabel
+    getter per copy, which each H-copy goes through. Returns (variables,
+    edges); on a query check_arrow has not settled, edges is nonempty and
+    every edge has two members or more. check_arrow has charged the
+    H-copies to the enumeration cap by count; they are read from the copy
+    stream, never all held. expired is polled every 1024 of them (not while
+    the stream builds a right-part list) and, when it returns True,
+    BudgetExhaustedError is raised.
     """
     variables = enumerate_copies(host, pattern)
-    check_enumeration(count_copies(host, target))
-    template = enumerate_copies(target, pattern)
+    getters = [_relabel(rel) for rel in enumerate_copies(target, pattern)]
     var_index = {c: i for i, c in enumerate(variables)}
     edges: set[tuple[int, ...]] = set()
     for n, hc in enumerate(_copies(host, target)):
@@ -88,7 +89,7 @@ def _arrow_edges(
             raise BudgetExhaustedError("time budget ran out during constraint construction")
         # relabeling through the increasing hc keeps lexicographic order, so
         # the variable indices come out sorted
-        edges.add(tuple([var_index[tuple([hc[i] for i in rel])] for rel in template]))
+        edges.add(tuple([var_index[get(hc)] for get in getters]))
     return variables, sorted(edges)
 
 
@@ -106,9 +107,10 @@ def check_arrow(
     with at most one copy of pattern holds, with no copy listed. Any other
     query goes to an engine: a dynamic program over host subtrees for a
     single-leaf pattern (_leaf_arrow), the constraint search otherwise
-    (_search_arrow). Both are deterministic, re-verify every bad coloring
-    they return, and answer Unknown when the budget, which covers the whole
-    query, runs out.
+    (_search_arrow), which reads every H-copy and so has their count, taken
+    once here, charged to the enumeration cap first. Both are
+    deterministic, re-verify every bad coloring they return, and answer
+    Unknown when the budget, which covers the whole query, runs out.
     """
     _require_int("number of colors", k)
     budget = budget or DEFAULT_BUDGET
@@ -120,12 +122,17 @@ def check_arrow(
     def expired() -> bool:
         return elapsed_ms() > budget.max_millis
 
-    if count_copies(host, target) == 0:
+    h_copies = count_copies(host, target)
+    if h_copies == 0:
         status, witness, nodes = "fails", Coloring.uniform(host, pattern, k, 0), 0
     elif count_copies(target, pattern) <= 1:
         status, witness, nodes = "holds", None, 0
     else:
-        engine = _leaf_arrow if pattern.is_leaf else _search_arrow
+        if pattern.is_leaf:
+            engine = _leaf_arrow
+        else:
+            check_enumeration(h_copies)
+            engine = _search_arrow
         status, assignment, nodes = engine(host, target, pattern, k, budget.max_nodes, expired)
         witness = None if assignment is None else Coloring(host, pattern, k, assignment)
     return ArrowVerdict(status, witness, nodes, elapsed_ms())
@@ -515,7 +522,8 @@ def extract_mono_leafcolor(
         raise ValueError("coloring must color single-leaf copies")
     if not iso(chi.host, host):
         raise ValueError("coloring host does not match the given host")
-    colors = [chi.assignment[(i,)] for i in range(host.leaf_count)]
+    # the single-leaf copies in order, as the iso checks above make sure
+    colors = list(chi.assignment.values())
     if len(set(colors)) > j:
         raise ValueError(
             f"coloring uses {len(set(colors))} distinct colors, more than j = {j}"

@@ -13,6 +13,8 @@ enumeration cap counts only the lists the stream builds on the way.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import FormatError
 from .limits import _Value, _require_int
 from .tree import PlaneTree, leaf, parse_newick, to_newick
@@ -31,7 +33,13 @@ class Coloring(_Value):
 
     The assignment maps every CopyRef from enumerate_copies(host, pattern)
     to a color in range(k); the stored dict is in lexicographic copy order.
-    A Coloring is not hashable, as its assignment is a dict.
+    A color is an int, or an int subclass other than bool. A Coloring is not
+    hashable, as its assignment is a dict.
+
+    The constructor reorders the given assignment in one pass over the
+    copies and checks the colors as a set: all of type int, the least and
+    the greatest in range(k). Only when that fails does it check copy by
+    copy, to name the lexicographically first copy whose color is bad.
     """
 
     _fields = ("host", "pattern", "k", "assignment")
@@ -42,7 +50,11 @@ class Coloring(_Value):
         _require_int("number of colors", k)
         copies = enumerate_copies(host, pattern)
         given = assignment
-        if len(given) != len(copies) or any(c not in given for c in copies):
+        try:
+            ordered = {c: given[c] for c in copies}
+        except KeyError:
+            ordered = None
+        if ordered is None or len(given) != len(copies):
             missing = [c for c in copies if c not in given]
             known = set(copies)
             extra = [c for c in given if c not in known]
@@ -52,11 +64,14 @@ class Coloring(_Value):
             if extra:
                 parts.append(f"unknown copies {extra[:3]}{'...' if len(extra) > 3 else ''}")
             raise ValueError("assignment must cover every copy exactly once: " + "; ".join(parts))
-        for c in copies:
-            col = given[c]
-            if not isinstance(col, int) or isinstance(col, bool) or not 0 <= col < k:
-                raise ValueError(f"color of copy {list(c)} must be in [0, {k}), got {col!r}")
-        self.__dict__.update(host=host, pattern=pattern, k=k, assignment={c: given[c] for c in copies})
+        colors = ordered.values()
+        palette = set(colors)
+        # the types are checked apart, as the palette merges True into 1
+        if not (set(map(type, colors)) == {int} and 0 <= min(palette) and max(palette) < k):
+            for c, col in ordered.items():
+                if not isinstance(col, int) or isinstance(col, bool) or not 0 <= col < k:
+                    raise ValueError(f"color of copy {list(c)} must be in [0, {k}), got {col!r}")
+        self.__dict__.update(host=host, pattern=pattern, k=k, assignment=ordered)
 
     @classmethod
     def uniform(cls, host: PlaneTree, pattern: PlaneTree, k: int, color: int) -> "Coloring":
@@ -123,6 +138,14 @@ def is_mono(chi: Coloring, region) -> int | None:
     return None
 
 
+def _relabel(rel: CopyRef):
+    """The getter that maps a copy c to tuple(c[i] for i in rel): the copy
+    rel of a tree, relabeled through c's leaves when c is a copy of that
+    tree. itemgetter of one index returns the bare item, so a one-position
+    rel gets the one-item slice, which of a tuple is a 1-tuple."""
+    return itemgetter(*rel) if len(rel) > 1 else itemgetter(slice(rel[0], rel[0] + 1))
+
+
 def _least_within(
     host: PlaneTree, region: CopyRef | None, target: PlaneTree, accept
 ) -> CopyRef | None:
@@ -135,27 +158,28 @@ def _least_within(
         # the host itself keeps its shared subtrees, which the stream reuses
         return next(filter(accept, _copies(host, target)), None)
     inside = _copies(induced_subtree(host, region), target)
-    return next(filter(accept, (tuple([region[i] for i in c]) for c in inside)), None)
+    return next(filter(accept, (_relabel(c)(region) for c in inside)), None)
 
 
 def _agreement(target: PlaneTree, pattern: PlaneTree, value):
     """common(cand) for a copy cand of target: the one value that value()
     takes on the copies of pattern inside cand, -1 if there are none, None
     if they differ. Those copies are enumerate_copies(target, pattern)
-    relabeled through cand's leaves; that template is built on the first
-    call, so a search that meets no copy of target never needs it."""
-    template: list[CopyRef] | None = None
+    relabeled through cand's leaves, by one _relabel getter per template
+    copy; the getters are built on the first call, so a search that meets
+    no copy of target never enumerates the template."""
+    getters: list | None = None
 
     def common(cand: CopyRef):
-        nonlocal template
-        if template is None:
-            template = enumerate_copies(target, pattern)
-        if not template:
+        nonlocal getters
+        if getters is None:
+            getters = [_relabel(rel) for rel in enumerate_copies(target, pattern)]
+        if not getters:
             return -1
-        rels = iter(template)
-        shared = value(tuple([cand[i] for i in next(rels)]))
-        for rel in rels:
-            if value(tuple([cand[i] for i in rel])) != shared:
+        rest = iter(getters)
+        shared = value(next(rest)(cand))
+        for get in rest:
+            if value(get(cand)) != shared:
                 return None
         return shared
 
@@ -215,7 +239,7 @@ def _fusion(
         other_pattern = chi.pattern.left
     sub_partner = induced_subtree(chi.host, partner)
     partner_copies = enumerate_copies(sub_partner, other_pattern)
-    joins = [tuple([partner[i] for i in pc]) for pc in partner_copies]
+    joins = [_relabel(pc)(partner) for pc in partner_copies]
     assignment = chi.assignment
     memo: dict[CopyRef, tuple[int, ...]] = {}
 
@@ -246,7 +270,7 @@ def psi_map(chi: Coloring, a, b) -> dict[CopyRef, Coloring]:
     sub_b, other_pattern, b_copies, image = _fusion(chi, a, b, "left")
     out: dict[CopyRef, Coloring] = {}
     for own in enumerate_copies(induced_subtree(chi.host, a), chi.pattern.left):
-        own = tuple([a[i] for i in own])
+        own = _relabel(own)(a)
         out[own] = Coloring(sub_b, other_pattern, chi.k, dict(zip(b_copies, image(own))))
     return out
 

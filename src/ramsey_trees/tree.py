@@ -87,8 +87,11 @@ class PlaneTree:
         return _same(self, other, True)
 
     def __reduce__(self):
-        # rebuilt through the constructor, so the hash is this process's
-        return PlaneTree, (self.left, self.right, self.label)
+        # A flat table of the distinct vertices, so that pickling and
+        # deep-copying do not recurse once per level and shared subtrees
+        # stay shared; rebuilt through the constructor, so the hash is this
+        # process's.
+        return _from_rows, (_rows(self),)
 
     def __repr__(self) -> str:
         if self.leaf_count > 64:
@@ -97,6 +100,40 @@ class PlaneTree:
 
     def __str__(self) -> str:
         return to_newick(self)
+
+
+def _rows(t: PlaneTree) -> list:
+    """One row per distinct vertex object of t, in post-order: a leaf's
+    label, or the row numbers of an internal vertex's (left, right)."""
+    row: dict[int, int] = {}
+    rows: list = []
+    stack = [t]
+    while stack:
+        v = stack[-1]
+        if id(v) in row:
+            stack.pop()
+        elif v.left is None:
+            row[id(v)] = len(rows)
+            rows.append(v.label)
+            stack.pop()
+        elif id(v.left) in row and id(v.right) in row:
+            row[id(v)] = len(rows)
+            rows.append((row[id(v.left)], row[id(v.right)]))
+            stack.pop()
+        else:
+            stack += (v.right, v.left)
+    return rows
+
+
+def _from_rows(rows: list) -> PlaneTree:
+    """The tree whose _rows are rows: its root is the last row."""
+    built: list[PlaneTree] = []
+    for r in rows:
+        if type(r) is tuple:
+            built.append(PlaneTree(built[r[0]], built[r[1]], None))
+        else:
+            built.append(PlaneTree(None, None, r))
+    return built[-1]
 
 
 def leaf(label: str | None = None) -> PlaneTree:
@@ -244,19 +281,29 @@ def shape_key(t: PlaneTree) -> str:
 
 
 def _same(a: PlaneTree, b: PlaneTree, labels: bool) -> bool:
-    """a and b have the same ordered shape and, if labels, the same leaf labels."""
+    """a and b have the same ordered shape and, if labels, the same leaf labels.
+
+    Each pair of internal vertex objects is compared once: a pair met again
+    through shared subtrees is skipped, so the time is linear in the
+    distinct pairs met, and two perfect or iterated trees built apart
+    compare in O(height). The pair is keyed by object identity, which is
+    sound as both trees stay alive for the whole call.
+    """
+    seen: set[tuple[int, int]] = set()
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         if x is y:
             continue
-        if x.is_leaf != y.is_leaf:
-            return False
-        if not x.is_leaf:
+        if x.left is None or y.left is None:
+            if x.left is not y.left or labels and x.label != y.label:
+                return False
+            continue
+        pair = (id(x), id(y))
+        if pair not in seen:
+            seen.add(pair)
             stack.append((x.left, y.left))
             stack.append((x.right, y.right))
-        elif labels and x.label != y.label:
-            return False
     return True
 
 

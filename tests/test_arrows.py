@@ -16,6 +16,7 @@ from ramsey_trees import (
     Coloring,
     FormatError,
     ReductionChain,
+    ResourceLimitError,
     SearchBudget,
     all_trees,
     build_reduction_chain,
@@ -73,6 +74,21 @@ def test_settled_queries_list_no_copies():
     set_max_enumeration(100)
     v = check_arrow(perfect_tree(5), perfect_tree(2), perfect_tree(2), 2)
     assert (v.status, v.witness, v.nodes) == ("holds", None, 0)
+
+
+def test_target_copies_are_counted_once_and_capped_on_the_constraint_path(monkeypatch):
+    p3, p2 = perfect_tree(3), perfect_tree(2)
+    calls = []
+    count = arrows.count_copies
+    monkeypatch.setattr(arrows, "count_copies", lambda t, p: calls.append((t, p)) or count(t, p))
+    check_arrow(p3, p2, CHERRY, 2)
+    assert calls == [(p3, p2), (p2, CHERRY)]
+    # P3 has 28 cherries and 38 copies of P2: the constraint search is
+    # charged for both, the leaf dynamic program for neither.
+    set_max_enumeration(30)
+    with pytest.raises(ResourceLimitError, match="would produce 38 items"):
+        check_arrow(p3, p2, CHERRY, 2)
+    assert check_arrow(perfect_tree(4), p2, leaf(), 2).status == "holds"
 
 
 def test_check_arrow_is_deterministic():

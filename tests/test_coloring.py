@@ -77,6 +77,35 @@ def test_constructor_checks_colors_and_k():
             Coloring(t2, CHERRY, bad_k, full)
 
 
+def test_first_bad_color_in_copy_order_is_named():
+    t2 = perfect_tree(2)
+    copies = list(Coloring.uniform(t2, CHERRY, 2, 0).assignment)
+    scrambled = {c: 0 for c in reversed(copies)}
+    scrambled[(2, 3)] = 5
+    scrambled[(0, 2)] = -1
+    with pytest.raises(ValueError) as info:
+        Coloring(t2, CHERRY, 2, scrambled)
+    assert str(info.value) == "color of copy [0, 2] must be in [0, 2), got -1"
+
+
+def test_int_subclass_colors_pass_and_bools_do_not():
+    class Color(int):
+        pass
+
+    t2 = perfect_tree(2)
+    copies = list(Coloring.uniform(t2, CHERRY, 2, 0).assignment)
+    chi = Coloring(t2, CHERRY, 2, {c: Color(i % 2) for i, c in enumerate(copies)})
+    assert [type(col) for col in chi.assignment.values()] == [Color] * len(copies)
+    assert list(chi.assignment.values()) == [i % 2 for i in range(len(copies))]
+    # True equals the color 1 the other copies have, so it hides in a set
+    # of the colors.
+    ones = dict.fromkeys(copies, 1)
+    ones[(1, 3)] = True
+    with pytest.raises(ValueError) as info:
+        Coloring(t2, CHERRY, 2, ones)
+    assert str(info.value) == "color of copy [1, 3] must be in [0, 2), got True"
+
+
 def test_assignment_is_canonically_ordered():
     t2 = perfect_tree(2)
     copies = list(Coloring.uniform(t2, CHERRY, 2, 0).assignment)

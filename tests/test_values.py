@@ -20,6 +20,7 @@ from ramsey_trees import (
     SearchBudget,
     TripleStructure,
     leaf,
+    node,
     parse_newick,
     perfect_tree,
 )
@@ -122,6 +123,28 @@ def test_copy_deepcopy_and_pickle_give_equal_values(cls):
         assert twin == value
         with pytest.raises(AttributeError):
             setattr(twin, next(iter(CASES[cls][1])), None)
+
+
+def test_deep_trees_pickle_and_deepcopy_without_recursion():
+    # One interpreter frame per level of nesting overflowed the stack here.
+    spine = CHERRY
+    for _ in range(1500):
+        spine = node(spine, CHERRY)
+    chi = Coloring.uniform(spine, leaf(), 2, 1)
+    for value in (spine, chi):
+        twins = [copy.deepcopy(value)]
+        twins += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin == value
+
+
+def test_pickled_tree_keeps_its_shared_subtrees():
+    t = perfect_tree(20)
+    data = pickle.dumps(t)
+    assert len(data) < 1024
+    loaded = pickle.loads(data)
+    assert loaded == t and hash(loaded) == hash(t)
+    assert loaded.left is loaded.right and loaded.left.left is loaded.left.right
 
 
 def test_a_tree_pickled_under_another_hash_seed_is_equal():
