@@ -14,9 +14,10 @@ if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")):
     sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(sys.modules["numpy"])
 
-# Each public name maps to the submodule that defines it. The names are
-# imported on first access (PEP 562), so a process loads only the submodules
-# it uses: a CLI command that builds trees never compiles the arrow search.
+# Each public name maps to the submodule that defines it; the keys are
+# __all__. The names are imported on first access (PEP 562), so a process
+# loads only the submodules it uses: a CLI command that builds trees never
+# compiles the arrow search.
 _SUBMODULE = {
     **dict.fromkeys(
         (
@@ -105,55 +106,4 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrowVerdict",
-    "BudgetExhaustedError",
-    "Coloring",
-    "CopyRef",
-    "FormatError",
-    "InconsistentTriplesError",
-    "ParseError",
-    "PlaneTree",
-    "ReductionChain",
-    "ResourceError",
-    "ResourceLimitError",
-    "SearchBudget",
-    "TripleStructure",
-    "all_trees",
-    "build_reduction_chain",
-    "catalan",
-    "check_arrow",
-    "count_copies",
-    "enumerate_copies",
-    "extract_mono_k",
-    "extract_mono_leafcolor",
-    "find_mono_copy",
-    "find_psi_mono",
-    "format_copy",
-    "induced_subtree",
-    "is_copy",
-    "is_mono",
-    "iso",
-    "iterate",
-    "leaf",
-    "leaf_labels",
-    "leaf_lca_depth",
-    "max_enumeration",
-    "max_leaves",
-    "min_arrow_height_scan",
-    "node",
-    "parse_copy",
-    "parse_newick",
-    "perfect_tree",
-    "psi_map",
-    "reconstruct",
-    "restrict",
-    "set_max_enumeration",
-    "set_max_leaves",
-    "shape_key",
-    "structure_of",
-    "substitute",
-    "substructure_iso",
-    "to_newick",
-    "validate_copy",
-]
+__all__ = sorted(_SUBMODULE)

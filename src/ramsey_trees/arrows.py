@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Callable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
-from .tree import PlaneTree, iso, iterate, parse_newick, perfect_tree, to_newick
+from .tree import PlaneTree, _postorder, iso, iterate, parse_newick, perfect_tree, to_newick
 from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
 from .limits import _Value, _require_int, check_enumeration
 from .coloring import Coloring, _relabel, find_mono_copy, is_mono
@@ -281,25 +281,15 @@ def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
     """One bit per distinct subtree shape of target; the leaf shape is bit 0.
 
     Returns one (shape, left child shape, right child shape) triple of bits
-    per internal shape, and the bit of target's own shape.
+    per internal shape, numbered in the _postorder of target, and the bit of
+    target's own shape.
     """
     index: dict[tuple[int, int], int] = {}
     shape: dict[int, int] = {}
-    stack = [target]
-    while stack:
-        v = stack[-1]
-        if id(v) in shape:
-            stack.pop()
-        elif v.is_leaf:
-            shape[id(v)] = 0
-            stack.pop()
-        elif id(v.left) not in shape or id(v.right) not in shape:
-            stack.extend((v.left, v.right))
-        else:
-            shape[id(v)] = index.setdefault(
-                (shape[id(v.left)], shape[id(v.right)]), len(index) + 1
-            )
-            stack.pop()
+    for v in _postorder(target):
+        shape[id(v)] = 0 if v.left is None else index.setdefault(
+            (shape[id(v.left)], shape[id(v.right)]), len(index) + 1
+        )
     splits = [(1 << s, 1 << a, 1 << b) for (a, b), s in index.items()]
     return splits, 1 << shape[id(target)]
 
@@ -348,9 +338,9 @@ def _leaf_arrow(
     and the bad coloring is rebuilt from back-pointers, colors numbered by
     first appearance, and re-verified by counting.
 
-    A node is one distinct state recorded for one host vertex. States are
-    memoized on object identity, so shared subtrees are solved once, and
-    all leaves share one entry. A vertex without states makes the arrow
+    A node is one distinct state recorded for one host vertex. Vertices are
+    solved in the _postorder of host, so shared subtrees are solved once,
+    and all leaves share one entry. A vertex without states makes the arrow
     hold at once: every coloring of the host restricts to one of it. The
     search stops after max_nodes nodes or when expired() says so, which is
     polled while the bad coloring is rebuilt and re-verified too.
@@ -384,11 +374,8 @@ def _leaf_arrow(
     rearranged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     nodes = 0
     steps = 0
-    stack = [host]
-    while stack:
-        v = stack[-1]
-        if key(v) in memo:
-            stack.pop()
+    for v in _postorder(host):
+        if key(v) in memo:  # a leaf after the first
             continue
         if expired():
             return "unknown", None, nodes
@@ -397,10 +384,6 @@ def _leaf_arrow(
                 return "unknown", None, nodes
             nodes += 1
             memo[0] = {(0,) * (k - 1) + (1,): None}
-            stack.pop()
-            continue
-        if key(v.left) not in memo or key(v.right) not in memo:
-            stack.extend((v.left, v.right))
             continue
         states: dict[tuple[int, ...], tuple | None] = {}
         for ls in memo[key(v.left)]:
@@ -424,7 +407,6 @@ def _leaf_arrow(
         if not states:
             return "holds", None, nodes
         memo[key(v)] = states
-        stack.pop()
 
     # Rebuild a bad coloring top-down. col[j] is the color given to position
     # j of the vertex's sorted state. The rebuild and the re-verification
@@ -444,13 +426,8 @@ def _leaf_arrow(
         mcol = [0] * k
         for j, i in enumerate(sorted(range(k), key=merged.__getitem__)):
             mcol[i] = col[j]
-        # position i of rp is the first unused position of rs with its mask
-        slots: dict[int, list[int]] = {}
-        for j, m in enumerate(rs):
-            slots.setdefault(m, []).append(j)
-        rcol = [0] * k
-        for i, m in enumerate(rp):
-            rcol[slots[m].pop(0)] = mcol[i]
+        # position j of rs holds the mask a stable sort of rp puts at j
+        rcol = [mcol[i] for i in sorted(range(k), key=rp.__getitem__)]
         walk.append((v.right, rs, rcol, lo + v.left.leaf_count))
         walk.append((v.left, ls, mcol, lo))
     first: dict[int, int] = {}

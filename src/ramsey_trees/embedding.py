@@ -264,7 +264,7 @@ def _copies(host: PlaneTree, pattern: PlaneTree):
     is charged to the enumeration cap. The copies yielded are not charged.
     """
     if pattern.is_leaf:
-        return ((i,) for i in range(host.leaf_count))
+        return zip(range(host.leaf_count))
     lists: dict[tuple[int, int], list[CopyRef]] = {}
     counts: dict[tuple[int, int], int] = {}
 

@@ -102,31 +102,44 @@ class PlaneTree:
         return to_newick(self)
 
 
+def _postorder(t: PlaneTree):
+    """Each distinct vertex object of t once, both children before their
+    parent and the right child's vertices before its left sibling's.
+
+    The walk keeps an explicit stack, so no recursion grows with depth, and
+    a vertex met again through a shared subtree is not walked again. It
+    tells vertices apart by id(), which is sound while t stays alive. The
+    order fixes the node counts and witnesses of arrows' leaf-pattern DP.
+    """
+    done: set[int] = set()
+    stack: list[PlaneTree | None] = [t]
+    while stack:
+        v = stack.pop()
+        if v is None:  # next on the stack is a vertex whose children are done
+            v = stack.pop()
+        elif id(v) in done:
+            continue
+        elif v.left is not None:
+            stack += (v, None, v.left, v.right)
+            continue
+        done.add(id(v))
+        yield v
+
+
 def _rows(t: PlaneTree) -> list:
-    """One row per distinct vertex object of t, in post-order: a leaf's
+    """One row per distinct vertex object of t, in _postorder: a leaf's
     label, or the row numbers of an internal vertex's (left, right)."""
     row: dict[int, int] = {}
     rows: list = []
-    stack = [t]
-    while stack:
-        v = stack[-1]
-        if id(v) in row:
-            stack.pop()
-        elif v.left is None:
-            row[id(v)] = len(rows)
-            rows.append(v.label)
-            stack.pop()
-        elif id(v.left) in row and id(v.right) in row:
-            row[id(v)] = len(rows)
-            rows.append((row[id(v.left)], row[id(v.right)]))
-            stack.pop()
-        else:
-            stack += (v.right, v.left)
+    for v in _postorder(t):
+        row[id(v)] = len(rows)
+        rows.append(v.label if v.left is None else (row[id(v.left)], row[id(v.right)]))
     return rows
 
 
 def _from_rows(rows: list) -> PlaneTree:
-    """The tree whose _rows are rows: its root is the last row."""
+    """The tree whose _rows are rows: its root is the last row. Any
+    post-order table loads, whichever child's rows come first."""
     built: list[PlaneTree] = []
     for r in rows:
         if type(r) is tuple:
@@ -136,15 +149,21 @@ def _from_rows(rows: list) -> PlaneTree:
     return built[-1]
 
 
+def _check_label(what: str, label: str) -> None:
+    """Raise ValueError unless label is a nonempty str without '(' ')' ','
+    or surrounding whitespace; what names it in the message."""
+    if not isinstance(label, str) or label == "":
+        raise ValueError(f"{what} must be a nonempty string, got {label!r}")
+    if any(ch in label for ch in "(),"):
+        raise ValueError(f"{what} may not contain '(' ')' ',': {label!r}")
+    if label.strip() != label:
+        raise ValueError(f"{what} may not have surrounding whitespace: {label!r}")
+
+
 def leaf(label: str | None = None) -> PlaneTree:
     """A single leaf, optionally labeled (labels may not contain '(' ')' ',')."""
     if label is not None:
-        if not isinstance(label, str) or label == "":
-            raise ValueError("leaf label must be a nonempty string or None")
-        if any(ch in label for ch in "(),"):
-            raise ValueError(f"leaf label may not contain '(' ')' ',': {label!r}")
-        if label.strip() != label:
-            raise ValueError(f"leaf label may not have surrounding whitespace: {label!r}")
+        _check_label("leaf label", label)
     return PlaneTree(None, None, label)
 
 
@@ -325,29 +344,15 @@ def perfect_tree(c: int) -> PlaneTree:
 
 
 def substitute(g: PlaneTree, h: PlaneTree) -> PlaneTree:
-    """Replace every leaf of g by a copy of h (leaf counts multiply)."""
+    """Replace every leaf of g by a copy of h (leaf counts multiply).
+
+    One vertex is built per distinct internal vertex object of g, in
+    _postorder, so the result shares h and whatever g shares.
+    """
     check_leaves(g.leaf_count * h.leaf_count)
-    if g.is_leaf:
-        return h
     done: dict[int, PlaneTree] = {}
-    stack = [g]
-    while stack:
-        v = stack[-1]
-        if id(v) in done:
-            stack.pop()
-            continue
-        if v.is_leaf:
-            done[id(v)] = h
-            stack.pop()
-            continue
-        ready = True
-        for child in (v.left, v.right):
-            if id(child) not in done:
-                stack.append(child)
-                ready = False
-        if ready:
-            done[id(v)] = node(done[id(v.left)], done[id(v.right)])
-            stack.pop()
+    for v in _postorder(g):
+        done[id(v)] = h if v.left is None else node(done[id(v.left)], done[id(v.right)])
     return done[id(g)]
 
 

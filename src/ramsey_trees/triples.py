@@ -26,21 +26,12 @@ from operator import itemgetter
 
 from .errors import InconsistentTriplesError, FormatError
 from .limits import _Value, check_enumeration
-from .tree import PlaneTree, leaf, node
+from .tree import PlaneTree, _check_label, leaf, node
 from .embedding import leaf_labels
 
 Triple = tuple[str, str, str]
 
 _swap = itemgetter(1, 0, 2)
-
-
-def _check_identity(ident: str) -> None:
-    if not isinstance(ident, str) or ident == "":
-        raise ValueError(f"leaf identity must be a nonempty string, got {ident!r}")
-    if any(ch in ident for ch in "(),"):
-        raise ValueError(f"leaf identity may not contain '(' ')' ',': {ident!r}")
-    if ident.strip() != ident:
-        raise ValueError(f"leaf identity may not have surrounding whitespace: {ident!r}")
 
 
 class TripleStructure(_Value):
@@ -62,7 +53,7 @@ class TripleStructure(_Value):
             raise ValueError("domain must be nonempty")
         seen = set()
         for ident in domain:
-            _check_identity(ident)
+            _check_label("leaf identity", ident)
             if ident in seen:
                 raise ValueError(f"duplicate leaf identity: {ident!r}")
             seen.add(ident)

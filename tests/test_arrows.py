@@ -304,6 +304,22 @@ def test_leaf_arrow_matches_search_oracle():
     assert decided > 3 * len(targets) * (len(hosts) - 2)
 
 
+def test_leaf_arrow_answers_pinned_on_all_small_hosts():
+    # The DP's node counts and witnesses on asymmetric hosts depend on the
+    # order it solves vertices in, and on the shape bits of the target.
+    digest = hashlib.sha256()
+    queries = 0
+    for host in (t for n in range(2, 8) for t in all_trees(n)):
+        for target in (t for n in range(2, 5) for t in all_trees(n)):
+            for k in (2, 3):
+                v = check_arrow(host, target, leaf(), k)
+                colors = None if v.witness is None else list(v.witness.assignment.values())
+                digest.update(repr((v.status, v.nodes, colors)).encode())
+                queries += 1
+    assert queries == 3136
+    assert digest.hexdigest()[:16] == "0e4416ce1d03662f"
+
+
 def test_leaf_arrow_budgets():
     # P4 -> (P2)^leaf_2 records 6 states; every smaller node budget binds.
     full = check_arrow(perfect_tree(4), perfect_tree(2), leaf(), 2)

@@ -22,6 +22,7 @@ from ramsey_trees import (
     substitute,
     to_newick,
 )
+from ramsey_trees import tree
 
 trees = st.recursive(
     st.just(leaf()), lambda sub: st.builds(node, sub, sub), max_leaves=8
@@ -220,6 +221,32 @@ def test_substitute_example():
 @given(trees, trees)
 def test_substitute_multiplies_leaf_counts(g, h):
     assert substitute(g, h).leaf_count == g.leaf_count * h.leaf_count
+
+
+def test_substitute_walks_a_deep_spine_without_recursion():
+    # A left spine of 1500 cherries, depth 1500: each cherry becomes a P2.
+    cherry = perfect_tree(1)
+    spine, want = cherry, perfect_tree(2)
+    for _ in range(1499):
+        spine = node(spine, cherry)
+        want = node(want, perfect_tree(2))
+    got = substitute(spine, cherry)
+    assert got == want and got.height == 1501
+    assert substitute(leaf(), spine) is spine
+
+
+def test_rows_list_each_distinct_vertex_once():
+    rows = tree._rows(perfect_tree(20))
+    assert len(rows) == 21
+    assert rows == [None] + [(r, r) for r in range(20)]
+    # A subtree met twice is one row, and the rows rebuild the sharing.
+    x = parse_newick("((a,b),c)")
+    t = node(x, node(leaf("d"), x))
+    rows = tree._rows(t)
+    assert len(rows) == 5 + 2 + 1
+    assert rows.count("a") == 1
+    back = tree._from_rows(rows)
+    assert back == t and back.left is back.right.right
 
 
 def test_iterate_laws():
