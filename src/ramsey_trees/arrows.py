@@ -40,6 +40,13 @@ class SearchBudget(_Value):
 DEFAULT_BUDGET = SearchBudget()
 
 
+class _OutOfBudget(Exception):
+    """The budget of an arrow query ran out after nodes nodes."""
+
+    def __init__(self, nodes: int):
+        self.nodes = nodes
+
+
 class ArrowVerdict(_Value):
     """Outcome of one arrow decision.
 
@@ -65,7 +72,7 @@ def _arrow_edges(
     host: PlaneTree,
     target: PlaneTree,
     pattern: PlaneTree,
-    expired: Callable[[], bool] = lambda: False,
+    poll: Callable[[int], None] = lambda nodes: None,
 ) -> tuple[list[CopyRef], list[tuple[int, ...]]]:
     """Variables (P-copies) and NAE constraints (inner P-copies per H-copy).
 
@@ -76,17 +83,16 @@ def _arrow_edges(
     edges); on a query check_arrow has not settled, edges is nonempty and
     every edge has two members or more. check_arrow has charged the
     H-copies to the enumeration cap by count; they are read from the copy
-    stream, never all held. expired is polled every 1024 of them (not while
-    the stream builds a right-part list) and, when it returns True,
-    BudgetExhaustedError is raised.
+    stream, never all held. poll(0) is called every 1024 of them (not while
+    the stream builds a right-part list); it raises when the time is up.
     """
     variables = enumerate_copies(host, pattern)
     getters = [_relabel(rel) for rel in enumerate_copies(target, pattern)]
     var_index = {c: i for i, c in enumerate(variables)}
     edges: set[tuple[int, ...]] = set()
     for n, hc in enumerate(_copies(host, target)):
-        if not n & 1023 and expired():
-            raise BudgetExhaustedError("time budget ran out during constraint construction")
+        if not n & 1023:
+            poll(0)
         # relabeling through the increasing hc keeps lexicographic order, so
         # the variable indices come out sorted
         edges.add(tuple([var_index[get(hc)] for get in getters]))
@@ -109,8 +115,12 @@ def check_arrow(
     single-leaf pattern (_leaf_arrow), the constraint search otherwise
     (_search_arrow), which reads every H-copy and so has their count, taken
     once here, charged to the enumeration cap first. Both are
-    deterministic, re-verify every bad coloring they return, and answer
-    Unknown when the budget, which covers the whole query, runs out.
+    deterministic, re-verify every bad coloring they return, and return
+    (its assignment, or None if the arrow holds, and nodes). The budget
+    covers the whole query: an engine raises _OutOfBudget(nodes) at
+    max_nodes nodes, and its calls to poll(nodes) raise it once more than
+    max_millis ms have passed. It is caught here alone and answered with
+    Unknown.
     """
     _require_int("number of colors", k)
     budget = budget or DEFAULT_BUDGET
@@ -119,8 +129,9 @@ def check_arrow(
     def elapsed_ms() -> int:
         return int((time.monotonic() - t0) * 1000)
 
-    def expired() -> bool:
-        return elapsed_ms() > budget.max_millis
+    def poll(nodes: int) -> None:
+        if elapsed_ms() > budget.max_millis:
+            raise _OutOfBudget(nodes)
 
     h_copies = count_copies(host, target)
     if h_copies == 0:
@@ -133,7 +144,11 @@ def check_arrow(
         else:
             check_enumeration(h_copies)
             engine = _search_arrow
-        status, assignment, nodes = engine(host, target, pattern, k, budget.max_nodes, expired)
+        try:
+            assignment, nodes = engine(host, target, pattern, k, budget.max_nodes, poll)
+            status = "holds" if assignment is None else "fails"
+        except _OutOfBudget as stop:
+            status, assignment, nodes = "unknown", None, stop.nodes
         witness = None if assignment is None else Coloring(host, pattern, k, assignment)
     return ArrowVerdict(status, witness, nodes, elapsed_ms())
 
@@ -144,20 +159,19 @@ def _search_arrow(
     pattern: PlaneTree,
     k: int,
     max_nodes: int,
-    expired: Callable[[], bool],
-) -> tuple[str, dict[CopyRef, int] | None, int]:
+    poll: Callable[[int], None],
+) -> tuple[dict[CopyRef, int] | None, int]:
     """Backtracking over the NAE constraints of _arrow_edges, for any pattern.
 
-    Returns (status, the bad coloring's assignment or None, nodes) for a
-    query that check_arrow has not settled. Variables are tried
+    Returns (the bad coloring's assignment or None if the arrow holds,
+    nodes) for a query that check_arrow has not settled. Variables are tried
     most-constrained first (descending constraint degree, ties by
     lexicographic copy order), colors in increasing order, and the first
     variable is pinned to color 0 (sound by color-permutation symmetry). The
     witness of a Fails verdict is the first bad coloring that order
-    encounters; a node is one color tried for one variable. The search
-    stops after max_nodes nodes or when expired() says so; expired is
-    polled during constraint construction too, and running out before the
-    search starts gives Unknown with 0 nodes.
+    encounters; a node is one color tried for one variable. poll is called
+    with 0 during construction and before the search starts, then every
+    1024 nodes.
 
     The order is static. The search names each variable by its depth d in
     it, so when d gets a color the assigned variables are exactly 0..d. A
@@ -177,12 +191,8 @@ def _search_arrow(
     changes, and the untried colors and trail marks are lists indexed by
     depth.
     """
-    try:
-        variables, edges = _arrow_edges(host, target, pattern, expired)
-    except BudgetExhaustedError:
-        return "unknown", None, 0
-    if expired():
-        return "unknown", None, 0
+    variables, edges = _arrow_edges(host, target, pattern, poll)
+    poll(0)
     m = len(variables)
 
     degree = Counter(itertools.chain.from_iterable(edges))
@@ -214,7 +224,6 @@ def _search_arrow(
     marks = [0] * m  # per depth: trail length before d got its color
 
     nodes = 0
-    status = "holds"  # unless the search stops early
     d = 0
     untried[0] = domain[0]
     while True:
@@ -223,7 +232,7 @@ def _search_arrow(
             # every color of d failed: uncolor d - 1
             d -= 1
             if d < 0:
-                break
+                return None, nodes
             colmask[color_of[d]] ^= bit[d]
             mark = marks[d]
             while len(trail) > mark:
@@ -231,12 +240,10 @@ def _search_arrow(
                 domain[u] = old
             continue
         if nodes >= max_nodes:
-            status = "unknown"
-            break
+            raise _OutOfBudget(nodes)
         nodes += 1
-        if not nodes & 1023 and expired():
-            status = "unknown"
-            break
+        if not nodes & 1023:
+            poll(nodes)
         low = mask & -mask
         untried[d] = mask ^ low
         c = low.bit_length() - 1
@@ -257,7 +264,6 @@ def _search_arrow(
         else:
             d += 1
             if d == m:
-                status = "fails"
                 break
             untried[d] = domain[d]
             continue
@@ -266,15 +272,13 @@ def _search_arrow(
             u, old = trail.pop()
             domain[u] = old
 
-    if status == "fails":
-        colors = [0] * m
-        for d, v in enumerate(order):
-            colors[v] = color_of[d]
-        for e in edges:
-            if len({colors[v] for v in e}) <= 1:
-                raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
-        return "fails", dict(zip(variables, colors)), nodes
-    return status, None, nodes
+    colors = [0] * m
+    for d, v in enumerate(order):
+        colors[v] = color_of[d]
+    for e in edges:
+        if len({colors[v] for v in e}) <= 1:
+            raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
+    return dict(zip(variables, colors)), nodes
 
 
 def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
@@ -318,13 +322,13 @@ def _leaf_arrow(
     pattern: PlaneTree,
     k: int,
     max_nodes: int,
-    expired: Callable[[], bool],
-) -> tuple[str, dict[CopyRef, int] | None, int]:
+    poll: Callable[[int], None],
+) -> tuple[dict[CopyRef, int] | None, int]:
     """Decide host -> (target)^leaf_k by dynamic programming over host subtrees.
 
-    Returns (status, the bad leaf coloring's assignment or None, nodes) for
-    a query that check_arrow has not settled, so host has a copy of target
-    and target is not a leaf.
+    Returns (the bad leaf coloring's assignment or None if the arrow holds,
+    nodes) for a query that check_arrow has not settled, so host has a copy
+    of target and target is not a leaf.
 
     The state of a host subtree under a leaf coloring is a tuple of k
     bitmasks, one per color, of the target subtree shapes that embed in the
@@ -340,10 +344,10 @@ def _leaf_arrow(
 
     A node is one distinct state recorded for one host vertex. Vertices are
     solved in the _postorder of host, so shared subtrees are solved once,
-    and all leaves share one entry. A vertex without states makes the arrow
-    hold at once: every coloring of the host restricts to one of it. The
-    search stops after max_nodes nodes or when expired() says so, which is
-    polled while the bad coloring is rebuilt and re-verified too.
+    and all leaves share one entry, recorded before the walk. A vertex
+    without states makes the arrow hold at once: every coloring of the host
+    restricts to one of it. poll is called at every internal vertex, every
+    1024 steps, and while the bad coloring is rebuilt and re-verified.
     """
     n = host.leaf_count
     splits, full = _target_splits(target)
@@ -368,23 +372,19 @@ def _leaf_arrow(
     def key(v: PlaneTree) -> int:
         return 0 if v.is_leaf else id(v)  # id() of a live object is never 0
 
-    # memo[key] maps each state of that vertex to its back-pointer
-    # (left state, right state, rearranged right state); None for the leaf.
-    memo: dict[int, dict[tuple[int, ...], tuple | None]] = {}
+    if max_nodes == 0:
+        raise _OutOfBudget(0)
+    # memo[key] maps each state of that vertex to its back-pointer (left
+    # state, right state, rearranged right state); the leaf's one state,
+    # the first node, maps to None.
+    memo: dict[int, dict[tuple[int, ...], tuple | None]] = {0: {(0,) * (k - 1) + (1,): None}}
     rearranged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    nodes = 0
+    nodes = 1
     steps = 0
     for v in _postorder(host):
-        if key(v) in memo:  # a leaf after the first
-            continue
-        if expired():
-            return "unknown", None, nodes
         if v.is_leaf:
-            if nodes >= max_nodes:
-                return "unknown", None, nodes
-            nodes += 1
-            memo[0] = {(0,) * (k - 1) + (1,): None}
             continue
+        poll(nodes)
         states: dict[tuple[int, ...], tuple | None] = {}
         for ls in memo[key(v.left)]:
             for rs in memo[key(v.right)]:
@@ -393,19 +393,19 @@ def _leaf_arrow(
                     perms = rearranged[rs] = _rearrangements(rs)
                 for rp in perms:
                     steps += 1
-                    if not steps & 1023 and expired():
-                        return "unknown", None, nodes
+                    if not steps & 1023:
+                        poll(nodes)
                     merged = combine(ls, rp)
                     if merged is None:
                         continue
                     s = tuple(sorted(merged))
                     if s not in states:
                         if nodes >= max_nodes:
-                            return "unknown", None, nodes
+                            raise _OutOfBudget(nodes)
                         nodes += 1
                         states[s] = (ls, rs, rp)
         if not states:
-            return "holds", None, nodes
+            return None, nodes
         memo[key(v)] = states
 
     # Rebuild a bad coloring top-down. col[j] is the color given to position
@@ -415,8 +415,8 @@ def _leaf_arrow(
     walk = [(host, next(iter(memo[key(host)])), list(range(k)), 0)]
     while walk:
         steps += 1
-        if not steps & 1023 and expired():
-            return "unknown", None, nodes
+        if not steps & 1023:
+            poll(nodes)
         v, state, col, lo = walk.pop()
         if v.is_leaf:
             colors[lo] = col[k - 1]  # the leaf state's one nonzero mask
@@ -433,16 +433,14 @@ def _leaf_arrow(
     first: dict[int, int] = {}
     colors = [first.setdefault(c, len(first)) for c in colors]
     for c in range(len(first)):
-        if expired():
-            return "unknown", None, nodes
+        poll(nodes)
         part = [i for i in range(n) if colors[i] == c]
         if count_copies(induced_subtree(host, part), target):
             raise RuntimeError(
                 f"internal error: bad leaf coloring has a copy of the target in color {c}"
             )
-    if expired():
-        return "unknown", None, nodes
-    return "fails", {(i,): c for i, c in enumerate(colors)}, nodes
+    poll(nodes)
+    return {(i,): c for i, c in enumerate(colors)}, nodes
 
 
 def min_arrow_height_scan(

@@ -34,4 +34,4 @@ class ResourceLimitError(ResourceError):
 
 
 class BudgetExhaustedError(ResourceError):
-    """A search gave up after exhausting its node or wall-clock budget."""
+    """A reduction chain link could not be certified within the given limits."""

@@ -5,6 +5,7 @@ import itertools
 import json
 import pkgutil
 import random
+import sys
 import time
 import tracemalloc
 
@@ -189,18 +190,18 @@ def test_budget_stops_h_copy_listing():
     # batch of its 278,256 4-tuples (about 25 MB when listed).
     polls = []
 
-    def expired():
-        polls.append(None)
-        return True
+    def poll(nodes):
+        polls.append(nodes)
+        raise arrows._OutOfBudget(nodes)
 
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExhaustedError, match="constraint construction"):
-            _arrow_edges(perfect_tree(6), perfect_tree(2), CHERRY, expired)
+        with pytest.raises(arrows._OutOfBudget):
+            _arrow_edges(perfect_tree(6), perfect_tree(2), CHERRY, poll)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(polls) == 1
+    assert polls == [0]
     assert peak < 2_000_000
 
 
@@ -294,7 +295,13 @@ def test_leaf_arrow_matches_search_oracle():
                     assert got.nodes == 0, (host, target, k)
                     want = brute_arrow_status(host, target, leaf(), k)
                 else:
-                    want = arrows._search_arrow(host, target, leaf(), k, 20_000, lambda: False)[0]
+                    try:
+                        assignment = arrows._search_arrow(
+                            host, target, leaf(), k, 20_000, lambda nodes: None
+                        )[0]
+                        want = "holds" if assignment is None else "fails"
+                    except arrows._OutOfBudget:
+                        want = "unknown"
                 if want != "unknown":
                     assert got.status == want, (host, target, k)
                     decided += 1
@@ -362,6 +369,63 @@ def test_leaf_arrow_on_deep_host():
     for j in range(0, host.leaf_count, 2):
         if colors[j] == colors[j + 1]:
             assert colors[:j].count(colors[j]) <= 1, j
+
+
+def test_every_poll_site_stops_the_engines():
+    # A poll that raises on its n-th call, for every n: the engines must let
+    # _OutOfBudget through from every call site with the nodes that call was
+    # given, and must poll the same way on every run. A node budget below
+    # the full count stops them with exactly that many nodes.
+    def unshared(d):  # a perfect tree whose subtrees are all distinct objects
+        return leaf() if d == 0 else node(unshared(d - 1), unshared(d - 1))
+
+    queries = [
+        # vertices, witness rebuild and re-verification of the leaf DP
+        (arrows._leaf_arrow, (perfect_tree(9), perfect_tree(5), leaf(), 2)),
+        # construction, the poll before the search, and the search loop
+        (arrows._search_arrow, (perfect_tree(4), CAT3, CHERRY, 3)),
+        # the leaf DP's state products, which need an unshared host
+        (arrows._leaf_arrow, (unshared(5), perfect_tree(3), leaf(), 3)),
+    ]
+    polls = []  # (nodes, line) of each call
+    stop_at = 0  # 0: never raise
+
+    def poll(nodes):
+        polls.append((nodes, sys._getframe(1).f_lineno))
+        if len(polls) == stop_at:
+            raise arrows._OutOfBudget(nodes)
+
+    reached = set()
+    full_polls = []
+    for engine, args in queries:
+        polls, stop_at = [], 0
+        full = engine(*args, 10_000_000, poll)
+        full_calls = polls
+        full_polls.append([nodes for nodes, _ in full_calls])
+        reached |= {line for _, line in full_calls}
+        for stop_at in range(1, len(full_calls) + 1):
+            polls = []
+            with pytest.raises(arrows._OutOfBudget) as stop:
+                engine(*args, 10_000_000, poll)
+            assert polls == full_calls[:stop_at], (engine, stop_at)
+            assert stop.value.nodes == polls[-1][0], (engine, stop_at)
+        total = full[1]
+        for max_nodes in (range(total) if total < 200 else (0, 1, 1024, total - 1)):
+            with pytest.raises(arrows._OutOfBudget) as stop:
+                engine(*args, max_nodes, lambda nodes: None)
+            assert stop.value.nodes == max_nodes, (engine, max_nodes)
+        assert engine(*args, total, lambda nodes: None) == full
+
+    assert full_polls[0] == [1, 3, 6, 11, 18, 27, 33, 37, 39, 40, 40, 40, 40]
+    assert full_polls[1] == [0, 0, 1024, 2048, 3072]
+    with open(arrows.__file__, encoding="utf-8") as fh:
+        sites = {
+            n.lineno
+            for n in ast.walk(ast.parse(fh.read()))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "poll"
+        }
+    assert len(sites) == 8
+    assert reached == sites
 
 
 def test_arrows_has_no_assert():
@@ -545,6 +609,13 @@ def test_reduction_chain_json_errors():
     # A parseable chain whose link fails is rejected during re-certification.
     with pytest.raises(ValueError, match="does not hold"):
         ReductionChain.from_json_obj({"trees": ["(,)", "(,)"], "pattern": "", "k": 2})
+
+
+def test_reduction_chain_json_needs_a_newick_pattern():
+    for pattern in (None, 0, ["(,)"]):
+        obj = {"trees": ["(,)", "((,),(,))"], "pattern": pattern, "k": 2}
+        with pytest.raises(FormatError, match='"pattern" must be a Newick string'):
+            ReductionChain.from_json_obj(obj)
 
 
 def test_extract_mono_k_random_colorings():

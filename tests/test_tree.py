@@ -175,6 +175,25 @@ def test_internal_vertex_needs_both_children():
         PlaneTree(leaf(), None, None)
 
 
+def test_node_needs_tree_children():
+    for left, right in ((leaf(), "(,)"), (None, leaf()), (leaf(), 1)):
+        with pytest.raises(TypeError, match="PlaneTree instances"):
+            node(left, right)
+
+
+def test_tree_never_equals_a_non_tree():
+    assert (leaf() == 3) is False
+    assert (perfect_tree(2) == "((,),(,))") is False
+    assert leaf() != 3
+
+
+def test_repr_of_a_large_tree_gives_its_size():
+    # Up to 64 leaves the repr is the Newick text; past that, size and height.
+    assert repr(perfect_tree(2)) == "PlaneTree('((,),(,))')"
+    assert repr(perfect_tree(6)) == f"PlaneTree({to_newick(perfect_tree(6))!r})"
+    assert repr(node(perfect_tree(6), leaf())) == "PlaneTree(leaves=65, height=7)"
+
+
 def test_equality_includes_labels_iso_does_not():
     a = parse_newick("(x,y)")
     b = parse_newick("(x,z)")

@@ -254,6 +254,12 @@ def test_json_roundtrip_and_errors():
         )
 
 
+def test_json_triples_must_be_an_array():
+    for triples in ({}, "abc", None, 3):
+        with pytest.raises(FormatError, match='"triples" must be an array'):
+            TripleStructure.from_json_obj({"domain": ["a", "b", "c"], "triples": triples})
+
+
 def test_json_triples_sorted_by_domain_position():
     g = structure_of(parse_newick("((z,y),x)"))
     obj = g.to_json_obj()
