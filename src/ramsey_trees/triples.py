@@ -16,6 +16,11 @@ hx|z holds for the block's last leaf z. The candidate tree is then
 re-encoded against the input, one lookup per triple, so a relation no tree
 realizes is rejected. Both directions charge the enumeration cap 2*C(n, 3)
 items.
+
+structure_of and restrict build relations that are well-formed by
+construction, so they check only the domain and, for structure_of, that it
+emitted exactly 2*C(n, 3) triples. Every structure from outside (the
+constructor, from_json_obj) gets the four whole-set checks.
 """
 
 from __future__ import annotations
@@ -34,29 +39,39 @@ Triple = tuple[str, str, str]
 _swap = itemgetter(1, 0, 2)
 
 
+def _check_domain(domain: tuple[str, ...]) -> set[str]:
+    """Raise ValueError unless domain is a nonempty tuple of distinct valid
+    leaf identities; return its set."""
+    if not domain:
+        raise ValueError("domain must be nonempty")
+    seen = set()
+    for ident in domain:
+        _check_label("leaf identity", ident)
+        if ident in seen:
+            raise ValueError(f"duplicate leaf identity: {ident!r}")
+        seen.add(ident)
+    return seen
+
+
 class TripleStructure(_Value):
     """Ordered domain of leaf identities plus a symmetric triple relation.
 
-    The constructor checks symmetry, distinctness and domain membership; it
-    does not check that the relation is realizable by a tree (reconstruct
-    decides that) nor that every 3-subset is oriented.
+    The constructor checks the domain and then, over the whole set, that
+    every triple is a 3-tuple of distinct domain entries and that the
+    relation is symmetric. It does not check that the relation is
+    realizable by a tree (reconstruct decides that) nor that every 3-subset
+    is oriented. structure_of and restrict, whose relations are well-formed
+    by construction, skip the whole-set checks.
     """
 
     _fields = ("domain", "triples")
 
     def __init__(self, domain: tuple[str, ...], triples: frozenset[Triple]):
         domain = tuple(domain)
-        # A frozenset of tuples (what structure_of builds) is kept as given.
+        # A frozenset of tuples (what from_json_obj builds) is kept as given.
         if not (type(triples) is frozenset and {*map(type, triples)} <= {tuple}):
             triples = frozenset(map(tuple, triples))
-        if not domain:
-            raise ValueError("domain must be nonempty")
-        seen = set()
-        for ident in domain:
-            _check_label("leaf identity", ident)
-            if ident in seen:
-                raise ValueError(f"duplicate leaf identity: {ident!r}")
-            seen.add(ident)
+        seen = _check_domain(domain)
         # Whole-set checks; a loop looks for the offending triple only once
         # one has failed.
         if not {*map(len, triples)} <= {3} or any(
@@ -71,6 +86,17 @@ class TripleStructure(_Value):
             bad = next(t for t in triples if _swap(t) not in triples)
             raise ValueError(f"triple relation must be symmetric in the first two slots: {bad!r}")
         self.__dict__.update(domain=domain, triples=triples)
+
+    @classmethod
+    def _built(cls, domain: tuple[str, ...], triples: frozenset[Triple]) -> "TripleStructure":
+        """A structure on a relation this module has just built well-formed:
+        a frozenset of tuples of three distinct domain entries, symmetric in
+        the first two slots. Only the domain is checked, as __init__ checks
+        it; the triples are stored as given."""
+        _check_domain(domain)
+        g = cls.__new__(cls)
+        g.__dict__.update(domain=domain, triples=triples)
+        return g
 
     def to_json_obj(self) -> dict:
         pos = {x: i for i, x in enumerate(self.domain)}
@@ -119,9 +145,15 @@ def structure_of(t: PlaneTree) -> TripleStructure:
     if len(set(idents)) != n:
         dupes = sorted({x for x in idents if idents.count(x) > 1})
         raise ValueError(f"leaf identities are not distinct: {dupes}")
-    check_enumeration(2 * comb(n, 3))
+    size = 2 * comb(n, 3)
+    check_enumeration(size)
+    # The products draw on three disjoint slices of distinct identities, in
+    # both orders of each vertex's children; the size certifies that none
+    # was lost or put in another's place.
     triples = frozenset(chain.from_iterable(_split_products(t, idents)))
-    return TripleStructure(tuple(idents), triples)
+    if len(triples) != size:
+        raise RuntimeError(f"internal error: encoded {len(triples)} triples, expected {size}")
+    return TripleStructure._built(tuple(idents), triples)
 
 
 def restrict(g: TripleStructure, keep) -> TripleStructure:
@@ -132,9 +164,9 @@ def restrict(g: TripleStructure, keep) -> TripleStructure:
     missing = keep_set - set(g.domain)
     if missing:
         raise ValueError(f"not in the domain: {sorted(missing)}")
+    # A subset of g's relation on a subset of its domain stays well-formed.
     domain = tuple(x for x in g.domain if x in keep_set)
-    triples = frozenset(t for t in g.triples if all(x in keep_set for x in t))
-    return TripleStructure(domain, triples)
+    return TripleStructure._built(domain, frozenset(filter(keep_set.issuperset, g.triples)))
 
 
 def substructure_iso(g: TripleStructure, h: TripleStructure) -> bool:

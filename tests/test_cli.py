@@ -12,6 +12,7 @@ from ramsey_trees import (
     Coloring,
     SearchBudget,
     iterate,
+    node,
     parse_newick,
     perfect_tree,
     set_max_enumeration,
@@ -19,6 +20,7 @@ from ramsey_trees import (
 )
 from ramsey_trees import cli, selftest
 from ramsey_trees.cli import _budget, build_parser, main
+from helpers import labeled
 
 CAT3 = "((,),)"
 
@@ -109,6 +111,22 @@ def test_encode_decode_roundtrip(capsys, tmp_path):
     rc, out, _ = run(capsys, "decode", str(f))
     assert rc == 0
     assert out == "((a,b),c)\n"
+
+
+def test_encode_decode_roundtrip_forty_leaves(capsys, tmp_path):
+    # A labeled 40-leaf tree of uneven shape: 2 * C(40, 3) = 19760 triples.
+    text = to_newick(labeled(node(node(perfect_tree(5), perfect_tree(2)), perfect_tree(2))))
+    rc, out, _ = run(capsys, "encode", text)
+    assert rc == 0
+    obj = json.loads(out)
+    pos = {x: i for i, x in enumerate(obj["domain"])}
+    assert len(obj["triples"]) == 19760
+    assert obj["triples"] == sorted(obj["triples"], key=lambda t: [pos[x] for x in t])
+    f = tmp_path / "structure.json"
+    f.write_text(out, encoding="utf-8")
+    rc, out, _ = run(capsys, "decode", str(f))
+    assert rc == 0
+    assert out == text + "\n"
 
 
 def test_decode_rejects_inconsistent_relation(capsys, tmp_path):

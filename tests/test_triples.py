@@ -1,13 +1,19 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ramsey_trees
 from ramsey_trees import (
     FormatError,
     InconsistentTriplesError,
+    PlaneTree,
     ResourceLimitError,
     TripleStructure,
     all_trees,
@@ -21,6 +27,7 @@ from ramsey_trees import (
     structure_of,
     substructure_iso,
 )
+from ramsey_trees import triples as triples_mod
 from helpers import brute_structure, labeled
 
 trees = st.recursive(
@@ -99,6 +106,88 @@ def test_constructor_keeps_tuples_and_converts_the_rest():
     assert TripleStructure(("a", "b", "c"), given).triples is given
     for other in (frozenset({"abc", "bac"}), [["a", "b", "c"], ["b", "a", "c"]]):
         assert TripleStructure(("a", "b", "c"), other).triples == given
+
+
+def _assert_passes_full_check(t):
+    # structure_of and restrict skip the constructor's whole-set checks;
+    # what they build must pass them all the same.
+    g = structure_of(t)
+    assert TripleStructure(g.domain, g.triples) == g
+    d = g.domain
+    for keep in (d, d[::2], d[len(d) // 2 :], d[-1:] + d[:1]):
+        sub = restrict(g, keep)
+        assert TripleStructure(sub.domain, sub.triples) == sub
+
+
+def test_built_structures_pass_the_full_check_all_small_shapes():
+    for n in range(1, 8):
+        for t in all_trees(n):
+            _assert_passes_full_check(t)
+            _assert_passes_full_check(labeled(t))
+
+
+@given(trees)
+def test_built_structures_pass_the_full_check_random(t):
+    _assert_passes_full_check(t)
+
+
+def test_structure_of_still_checks_leaf_identities():
+    # A leaf made without leaf() skips its label check; the domain check of
+    # structure_of catches it.
+    bare = PlaneTree(None, None, "")
+    for t in (bare, node(leaf("a"), node(bare, leaf("b")))):
+        with pytest.raises(ValueError, match="^leaf identity must be a nonempty string, got ''$"):
+            structure_of(t)
+
+
+_real_split_products = triples_mod._split_products
+
+
+def _dropping_a_product(t, idents):
+    products = [list(p) for p in _real_split_products(t, idents)]
+    del products[next(i for i, p in enumerate(products) if p)]
+    return products
+
+
+def _repeating_a_product(t, idents):
+    # The first product of a vertex in place of its second: the relation
+    # loses its symmetry.
+    products = [list(p) for p in _real_split_products(t, idents)]
+    i = next(i for i, p in enumerate(products) if p)
+    products[i + 1] = products[i]
+    return products
+
+
+@pytest.mark.parametrize("fault", [_dropping_a_product, _repeating_a_product])
+def test_triple_count_certificate_catches_a_planted_fault(monkeypatch, fault):
+    t = parse_newick("((a,(b,c)),(d,e))")
+    monkeypatch.setattr(triples_mod, "_split_products", fault)
+    with pytest.raises(RuntimeError, match="^internal error: encoded 17 triples, expected 20$"):
+        structure_of(t)
+
+
+def test_triple_count_certificate_under_optimize():
+    # python -O strips assert statements; the certificate must still run.
+    script = (
+        "import ramsey_trees.triples as tr\n"
+        "real = tr._split_products\n"
+        "tr._split_products = lambda t, idents: list(real(t, idents))[:-1]\n"
+        "try:\n"
+        "    tr.structure_of(tr.node(tr.leaf('a'), tr.node(tr.leaf('b'), tr.leaf('c'))))\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(ramsey_trees.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "internal error: encoded 1 triples, expected 2\n"
 
 
 def _assert_matches_definition(t):
