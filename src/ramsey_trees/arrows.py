@@ -22,7 +22,7 @@ from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, _postorder, iso, iterate, parse_newick, perfect_tree, to_newick
 from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
 from .limits import _Value, _require_int, check_enumeration
-from .coloring import Coloring, _relabel, find_mono_copy, is_mono
+from .coloring import Coloring, _least_agreeing, _relabel, is_mono
 
 
 class SearchBudget(_Value):
@@ -80,23 +80,24 @@ def _arrow_edges(
     are enumerate_copies(target, pattern) relabeled through the H-copy's
     leaves; that template is enumerated once and turned into one _relabel
     getter per copy, which each H-copy goes through. Returns (variables,
-    edges); on a query check_arrow has not settled, edges is nonempty and
-    every edge has two members or more. check_arrow has charged the
-    H-copies to the enumeration cap by count; they are read from the copy
-    stream, never all held. poll(0) is called every 1024 of them (not while
+    edges), each edge once, in the order the copy stream first makes it,
+    not sorted; on a query check_arrow has not settled, edges is nonempty
+    and every edge has two members or more. The H-copies are charged to the
+    enumeration cap by count in check_arrow and read from the copy stream,
+    never all held. poll(0) is called every 1024 of them (not while
     the stream builds a right-part list); it raises when the time is up.
     """
     variables = enumerate_copies(host, pattern)
     getters = [_relabel(rel) for rel in enumerate_copies(target, pattern)]
     var_index = {c: i for i, c in enumerate(variables)}
-    edges: set[tuple[int, ...]] = set()
+    edges: dict[tuple[int, ...], None] = {}
     for n, hc in enumerate(_copies(host, target)):
         if not n & 1023:
             poll(0)
         # relabeling through the increasing hc keeps lexicographic order, so
         # the variable indices come out sorted
-        edges.add(tuple([var_index[get(hc)] for get in getters]))
-    return variables, sorted(edges)
+        edges[tuple([var_index[get(hc)] for get in getters])] = None
+    return variables, list(edges)
 
 
 def check_arrow(
@@ -186,10 +187,10 @@ def _search_arrow(
     second-to-last member. Whether a node conflicts, and which domain
     changes it leaves behind, do not depend on the order of the tests, and
     the tests skipped could not act, so the node counts and witnesses are
-    those of testing every constraint of the variable. Per color there is
-    one bitmask of the variables holding it, the trail records only domain
-    changes, and the untried colors and trail marks are lists indexed by
-    depth.
+    those of testing every constraint of the variable, in any order of the
+    edges. Per color there is one bitmask of the variables holding it, the
+    trail records only domain changes, and the untried colors and trail
+    marks are lists indexed by depth.
     """
     variables, edges = _arrow_edges(host, target, pattern, poll)
     poll(0)
@@ -617,24 +618,22 @@ def extract_mono_k(chain: ReductionChain, chi: Coloring) -> tuple[CopyRef, int]:
     """A monochromatic copy of chain.trees[0] under a chain.k-coloring of the
     pattern-copies in the top tree, via bitwise descent.
 
-    Step i looks only at bit i-1 of each copy's color (a 2-coloring), finds
-    a monochromatic copy of the next tree down inside the current region,
-    and recurses; after all bits are pinned the surviving region's copies
-    agree on the full color.
+    Step i reads bit i-1 of each copy's color directly, building no
+    Coloring, finds the least copy of the next tree down inside the current
+    region whose copies agree on that bit, and recurses; after all bits are
+    pinned the surviving region's copies agree on the full color.
     """
-    top = chain.trees[-1]
-    if not iso(chi.host, top):
+    if not iso(chi.host, chain.trees[-1]):
         raise ValueError("coloring host does not match the top tree of the chain")
     if not iso(chi.pattern, chain.pattern):
         raise ValueError("coloring pattern does not match the chain pattern")
     if chi.k != chain.k:
         raise ValueError(f"coloring has k = {chi.k}, chain has k = {chain.k}")
-    region: CopyRef = tuple(range(top.leaf_count))
+    region: CopyRef = tuple(range(chi.host.leaf_count))
     for i in range(len(chain.trees) - 1, 0, -1):
         shift = i - 1
-        bit_colors = {c: (col >> shift) & 1 for c, col in chi.assignment.items()}
-        bit_chi = Coloring(chi.host, chi.pattern, 2, bit_colors)
-        found = find_mono_copy(bit_chi, chain.trees[i - 1], region=region)
+        found = _least_agreeing(chi.host, region, chain.trees[i - 1], chi.pattern,
+                                lambda c: chi.assignment[c] >> shift & 1)
         if found is None:
             raise ValueError(
                 f"no monochromatic copy at chain step {i}; the chain does not certify this host"

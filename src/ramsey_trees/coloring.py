@@ -115,6 +115,7 @@ class Coloring(_Value):
                 not isinstance(entry, dict)
                 or set(entry) != {"copy", "color"}
                 or not isinstance(entry["copy"], list)
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry["copy"])
                 or not isinstance(entry["color"], int)
                 or isinstance(entry["color"], bool)
             ):
@@ -155,48 +156,49 @@ def _least_within(
     the stream runs over the tree region induces, mapped through region,
     which is increasing and so keeps the order."""
     if region is None or len(region) == host.leaf_count:
-        # the host itself keeps its shared subtrees, which the stream reuses
+        # induced_subtree of every leaf is the host itself, so this only
+        # skips the identity relabel and the region's validation
         return next(filter(accept, _copies(host, target)), None)
     inside = _copies(induced_subtree(host, region), target)
     return next(filter(accept, (_relabel(c)(region) for c in inside)), None)
 
 
-def _agreement(target: PlaneTree, pattern: PlaneTree, value):
-    """common(cand) for a copy cand of target: the one value that value()
-    takes on the copies of pattern inside cand, -1 if there are none, None
-    if they differ. Those copies are enumerate_copies(target, pattern)
-    relabeled through cand's leaves, by one _relabel getter per template
-    copy; the getters are built on the first call, so a search that meets
-    no copy of target never enumerates the template."""
+def _least_agreeing(
+    host: PlaneTree, region: CopyRef | None, target: PlaneTree, pattern: PlaneTree, value
+) -> tuple[CopyRef, int] | None:
+    """(least copy of target inside region whose copies of pattern all take
+    one value(), that value or -1 if target holds no copy of pattern), None
+    if no copy qualifies. A candidate's copies of pattern are read through
+    one _relabel getter per copy of the template enumerate_copies(target,
+    pattern), built at the first candidate: a search that meets no copy of
+    target never enumerates the template."""
     getters: list | None = None
+    shared = -1
 
-    def common(cand: CopyRef):
-        nonlocal getters
+    def agrees(cand: CopyRef) -> bool:
+        nonlocal getters, shared
         if getters is None:
             getters = [_relabel(rel) for rel in enumerate_copies(target, pattern)]
         if not getters:
-            return -1
+            return True
         rest = iter(getters)
         shared = value(next(rest)(cand))
         for get in rest:
             if value(get(cand)) != shared:
-                return None
-        return shared
+                return False
+        return True
 
-    return common
+    # the stream stops at the first accepted candidate, so shared is its value
+    found = _least_within(host, region, target, agrees)
+    return None if found is None else (found, shared)
 
 
 def find_mono_copy(
     chi: Coloring, target: PlaneTree, region: CopyRef | None = None
 ) -> tuple[CopyRef, int] | None:
-    """Lexicographically least monochromatic copy of target (with its color).
-
-    When region is given, only copies whose leaves lie inside it are
-    considered. The pattern-copies inside a candidate are
-    enumerate_copies(target, chi.pattern) relabeled through its leaves, so
-    that template is enumerated once and each candidate's colors are looked
-    up directly; the color is -1 when the template is empty, as in is_mono.
-    Returns None if no copy of target is monochromatic.
+    """Lexicographically least monochromatic copy of target (with its color,
+    -1 when target holds no copy of chi.pattern, as in is_mono), among the
+    copies inside region if it is given; None if no copy qualifies.
 
     The candidates are read in order from the copy stream, up to the first
     hit, so an answer found early is cheap and the list of all copies of
@@ -206,9 +208,7 @@ def find_mono_copy(
     """
     if region is not None:
         region = validate_copy(chi.host, region)
-    color = _agreement(target, chi.pattern, chi.assignment.__getitem__)
-    found = _least_within(chi.host, region, target, lambda c: color(c) is not None)
-    return None if found is None else (found, color(found))
+    return _least_agreeing(chi.host, region, target, chi.pattern, chi.assignment.__getitem__)
 
 
 def _root_split_check(host: PlaneTree, a: CopyRef, b: CopyRef) -> None:
@@ -291,5 +291,5 @@ def find_psi_mono(
     partner = validate_copy(chi.host, partner)
     image = _fusion(chi, region, partner, side)[3]
     own_pattern = chi.pattern.left if side == "left" else chi.pattern.right
-    common = _agreement(target, own_pattern, image)
-    return _least_within(chi.host, region, target, lambda c: common(c) is not None)
+    found = _least_agreeing(chi.host, region, target, own_pattern, image)
+    return None if found is None else found[0]

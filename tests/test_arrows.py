@@ -3,11 +3,14 @@ import hashlib
 import importlib
 import itertools
 import json
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +27,10 @@ from ramsey_trees import (
     catalan,
     check_arrow,
     count_copies,
+    enumerate_copies,
     extract_mono_k,
     extract_mono_leafcolor,
+    find_mono_copy,
     is_copy,
     is_mono,
     iterate,
@@ -169,7 +174,10 @@ def test_arrow_edges_match_subset_oracle():
                     assert count_copies(target, pattern) <= 1, (host, target, pattern)
                     assert got[0] == variables, (host, target, pattern)
                 else:
-                    assert got == (variables, edges), (host, target, pattern)
+                    # edges come in stream order: each once, none lost
+                    assert got[0] == variables, (host, target, pattern)
+                    assert len(got[1]) == len(edges), (host, target, pattern)
+                    assert sorted(got[1]) == edges, (host, target, pattern)
 
 
 def test_check_arrow_budget_covers_construction():
@@ -428,6 +436,100 @@ def test_every_poll_site_stops_the_engines():
     assert reached == sites
 
 
+def test_search_answers_do_not_depend_on_edge_order(monkeypatch):
+    # _arrow_edges keeps the edges in stream order; the search must give the
+    # same status, nodes and witness for any order of them. The queries are
+    # the constraint-path ones of the bench, at its node budgets.
+    p4, p2, mirror = perfect_tree(4), perfect_tree(2), parse_newick("(,(,))")
+    queries = [
+        (p4, CAT3, CHERRY, 2, 20_000),
+        (p4, mirror, CHERRY, 2, 20_000),
+        (p4, p2, CHERRY, 2, 5_000),
+        (p4, CAT3, CHERRY, 3, 20_000),
+        (p4, p2, CAT3, 2, 200_000),
+    ]
+
+    def answers():
+        out = []
+        for host, target, pattern, k, max_nodes in queries:
+            v = check_arrow(host, target, pattern, k, SearchBudget(max_nodes=max_nodes))
+            out.append((v.status, v.nodes, v.witness))
+        return out
+
+    want = answers()
+    assert [a[0] for a in want] == ["unknown", "unknown", "unknown", "fails", "holds"]
+    edges_of = arrows._arrow_edges
+    rng = random.Random(21)
+    for reorder in (lambda e: e[::-1], lambda e: rng.sample(e, len(e))):
+        def reordered(*args, reorder=reorder):
+            variables, edges = edges_of(*args)
+            return variables, reorder(edges)
+
+        monkeypatch.setattr(arrows, "_arrow_edges", reordered)
+        assert answers() == want
+
+
+class _HidesFirstEdge(list):
+    """Edges whose first two passes (the degree count and the watch build of
+    _search_arrow) miss the first edge, which the final re-check sees."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        edges = super().__iter__()
+        if self.passes <= 2:
+            next(edges)
+        return edges
+
+
+def test_search_rechecks_its_witness(monkeypatch):
+    # P2 in P2 is one constraint over all 6 cherries; with it hidden the
+    # search colors every cherry 0, and the re-check must refuse that.
+    edges_of = arrows._arrow_edges
+
+    def hiding(*args):
+        variables, edges = edges_of(*args)
+        return variables, _HidesFirstEdge(edges)
+
+    monkeypatch.setattr(arrows, "_arrow_edges", hiding)
+    with pytest.raises(RuntimeError, match="bad coloring leaves edge .* monochromatic"):
+        check_arrow(perfect_tree(2), perfect_tree(2), CHERRY, 2)
+
+
+def test_leaf_arrow_rechecks_its_witness(monkeypatch):
+    # With no split rule the DP sees no target anywhere and returns a
+    # coloring of P2 whose re-check finds a cherry in one color.
+    splits = arrows._target_splits
+    monkeypatch.setattr(arrows, "_target_splits", lambda t: ([], splits(t)[1]))
+    with pytest.raises(RuntimeError, match="bad leaf coloring has a copy of the target"):
+        check_arrow(perfect_tree(2), CHERRY, leaf(), 2)
+
+
+def test_leaf_arrow_recheck_runs_under_optimize():
+    # python -O strips assert statements; the re-check must still run.
+    script = (
+        "from ramsey_trees import arrows, check_arrow, leaf, parse_newick, perfect_tree\n"
+        "splits = arrows._target_splits\n"
+        "arrows._target_splits = lambda t: ([], splits(t)[1])\n"
+        "try:\n"
+        "    check_arrow(perfect_tree(2), parse_newick('(,)'), leaf(), 2)\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(ramsey_trees.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("internal error: bad leaf coloring has a copy of the target")
+
+
 def test_arrows_has_no_assert():
     # Witness checks, constructor checks and the decoder's re-encoding check
     # must keep running under python -O, in every module of the package.
@@ -657,3 +759,47 @@ def test_extract_mono_k_single_color_chain():
     chain = build_reduction_chain(CAT3, leaf(), 1)
     chi = Coloring.from_leaf_colors(CAT3, [0, 0, 0], 1)
     assert extract_mono_k(chain, chi) == ((0, 1, 2), 0)
+
+
+def _extract_by_bit_colorings(chain, chi):
+    """extract_mono_k as find_mono_copy on a two-color Coloring of each bit."""
+    region = tuple(range(chain.trees[-1].leaf_count))
+    for i in range(len(chain.trees) - 1, 0, -1):
+        bits = {c: col >> (i - 1) & 1 for c, col in chi.assignment.items()}
+        found = find_mono_copy(Coloring(chi.host, chi.pattern, 2, bits), chain.trees[i - 1], region)
+        if found is None:
+            raise ValueError(
+                f"no monochromatic copy at chain step {i}; the chain does not certify this host"
+            )
+        region = found[0]
+    return region, is_mono(chi, region)
+
+
+def test_extract_mono_k_matches_bit_colorings():
+    # Certified leaf-pattern chains and cherry-pattern chains no arrow backs;
+    # on the last, about half of the colorings have no copy to find.
+    p2, p3, p4 = perfect_tree(2), perfect_tree(3), perfect_tree(4)
+    chains = [build_reduction_chain(CHERRY, leaf(), k) for k in (2, 3, 4)]
+    chains += [
+        ReductionChain((CHERRY, p3), CHERRY, 2),
+        ReductionChain((CHERRY, p2, p4), CHERRY, 4),
+        ReductionChain((CAT3, p2), CHERRY, 2),
+    ]
+    rng = random.Random(2021)
+    outcomes = set()
+    for chain in chains:
+        top = chain.trees[-1]
+        copies = enumerate_copies(top, chain.pattern)
+        for _ in range(40):
+            chi = Coloring(top, chain.pattern, chain.k, {c: rng.randrange(chain.k) for c in copies})
+            try:
+                want = _extract_by_bit_colorings(chain, chi)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    extract_mono_k(chain, chi)
+                assert str(got.value) == str(e)
+                outcomes.add("error")
+            else:
+                assert extract_mono_k(chain, chi) == want
+                outcomes.add("copy")
+    assert outcomes == {"copy", "error"}

@@ -263,6 +263,21 @@ def test_extract_mono(capsys, tmp_path):
     assert json.loads(out) == {"copy": [0, 2], "color": 0}
 
 
+def test_extract_mono_rejects_non_integer_positions(capsys, tmp_path):
+    f = tmp_path / "coloring.json"
+    positions = [[0], [True], [2.0], [3]]
+    obj = {
+        "host": "((,),(,))",
+        "pattern": "",
+        "k": 2,
+        "assignment": [{"copy": p, "color": 0} for p in positions],
+    }
+    f.write_text(json.dumps(obj), encoding="utf-8")
+    rc, out, err = run(capsys, "extract-mono", "(,)", "2", str(f))
+    assert (rc, out) == (1, "")
+    assert "assignment entries must look like" in err
+
+
 def test_chain_and_extract_k(capsys, tmp_path):
     rc, out, _ = run(capsys, "chain", "(,)", "", "4")
     assert rc == 0

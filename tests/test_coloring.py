@@ -378,6 +378,18 @@ def test_json_errors():
         Coloring.from_json_obj(
             {"host": "(,)", "pattern": "", "k": 2, "assignment": [{"copy": [0]}]}
         )
+    # true == 1 and 2.0 == 2 as dict keys: a position must be an int, not a
+    # bool or a float, even where it would name the right leaf
+    for positions in ([0, True, 2, 3], [0, 1, 2.0, 3]):
+        with pytest.raises(FormatError, match="entries"):
+            Coloring.from_json_obj(
+                {
+                    "host": "((,),(,))",
+                    "pattern": "",
+                    "k": 2,
+                    "assignment": [{"copy": [p], "color": 0} for p in positions],
+                }
+            )
     # Totality failures surface from the constructor.
     with pytest.raises(ValueError, match="cover every copy"):
         Coloring.from_json_obj(
