@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Callable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
-from .tree import PlaneTree, _postorder, iso, iterate, parse_newick, perfect_tree, to_newick
+from .tree import PlaneTree, _postorder, iso, parse_newick, perfect_tree, to_newick
 from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
 from .limits import _Value, _require_int, check_enumeration
 from .coloring import Coloring, _least_agreeing, _relabel, is_mono
@@ -475,6 +475,31 @@ def min_arrow_height_scan(
     return None, scan
 
 
+def _is_iterate(t: PlaneTree, h: PlaneTree, j: int) -> bool:
+    """Is t plane-isomorphic to iterate(h, j), without building it?
+
+    iterate(h, j) is h's skeleton with a copy of iterate(h, j - 1) at each
+    leaf. So walk h's skeleton from t's root, require every block where a
+    leaf of h lands to have the first block's shape, and go on into the
+    first block; after j - 1 levels it must be h itself.
+    """
+    for _ in range(j - 1 if h.left is not None else 0):
+        blocks = []
+        stack = [(h, t)]
+        while stack:
+            x, y = stack.pop()
+            if x.left is None:
+                blocks.append(y)
+            elif y.left is None:
+                return False
+            else:
+                stack += ((x.right, y.right), (x.left, y.left))
+        if not all(iso(b, blocks[0]) for b in blocks):
+            return False
+        t = blocks[0]
+    return iso(t, h)
+
+
 def extract_mono_leafcolor(
     h: PlaneTree, j: int, host: PlaneTree, chi: Coloring
 ) -> tuple[CopyRef, int]:
@@ -492,7 +517,7 @@ def extract_mono_leafcolor(
     the smallest used color in each block forms a copy of h.
     """
     _require_int("iteration count", j)
-    if not iso(host, iterate(h, j)):
+    if not _is_iterate(host, h, j):
         raise ValueError("host must be the j-fold self-substitution of h")
     if not chi.pattern.is_leaf:
         raise ValueError("coloring must color single-leaf copies")

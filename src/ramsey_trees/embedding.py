@@ -10,14 +10,18 @@ positions with text form "[0,1,3]".
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import chain
+from operator import attrgetter
 
 from .errors import FormatError
 from .limits import check_enumeration
-from .tree import PlaneTree, iso, node
+from .tree import PlaneTree, _postorder, iso, node
 
 CopyRef = tuple[int, ...]
+_leaf_count = attrgetter("leaf_count")
+# id() of a host vertex -> (lo, copy counts of slots lo, lo + 1, ...)
+_Table = dict[int, tuple[int, list[int]]]
 
 
 def _parting(v: PlaneTree, lo: int, a: int, b: int) -> tuple[PlaneTree, int, int]:
@@ -26,7 +30,7 @@ def _parting(v: PlaneTree, lo: int, a: int, b: int) -> tuple[PlaneTree, int, int
     deepest vertex spanning both (a leaf when a == b), its first leaf's
     position and its depth below v. O(height), no per-host state."""
     depth = 0
-    while not v.is_leaf:
+    while v.left is not None:
         mid = lo + v.left.leaf_count
         if b < mid:
             v = v.left
@@ -137,37 +141,89 @@ def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
 
     A copy of an internal pattern either sits inside one child of the host
     root or splits at it (left pattern child into the left host child, right
-    into right). Counts are memoized on object identity, sound as a count
-    depends only on subtree values: shared subtrees are counted once.
+    into right). _count_table applies that rule to the pattern's vertices at
+    once, one vector per distinct host vertex, so shared subtrees are
+    counted once.
     """
-    return _tally({}, host, pattern)
+    if pattern.leaf_count > host.leaf_count:
+        return 0
+    table, slot = _count_table(host, pattern)
+    return _count(table, host, slot[id(pattern)])
 
 
-def _tally(memo: dict[tuple[int, int], int], host: PlaneTree, pattern: PlaneTree) -> int:
-    """count_copies on a memo that the copy stream keeps between calls."""
-    stack = [(host, pattern)]
-    while stack:
-        t, p = stack.pop()
-        key = (id(t), id(p))
-        if key in memo:
+def _count_table(host: PlaneTree, pattern: PlaneTree) -> tuple[_Table, dict[int, int]]:
+    """The copy counts of the pattern's vertices in the host's vertices.
+
+    slot maps id() of each distinct internal pattern vertex to its slot,
+    from 2 in order of leaf count; every leaf is slot 1, and slot 0 always
+    holds 0. A copy of pattern vertex p inside host vertex v can be part of
+    a copy of the pattern only if the pattern's other leaves fit outside v,
+    so v counts the window of slots with leaf_count(v) - slack <=
+    leaf_count(p) <= leaf_count(v), slack = leaf_count(host) -
+    leaf_count(pattern). table maps id() of each distinct host vertex to
+    (lo, vec), the counts of slots lo, lo + 1, ...; _count reads 0 outside
+    them. vec is one list comprehension over the plan entries (i, a, b) of
+    v's window, the split rule of count_copies: slot i with children slots
+    a and b has l[i] + r[i] + l[a] * r[b] copies, where l and r are the
+    children's counts and a leaf has a = b = 0, so it counts host leaves.
+    A count in the window is exact: each term it reads is in the child's
+    window, or is 0 as a part does not fit, or is a factor whose partner
+    does not fit. So a small pattern is counted in every slot, and a
+    pattern as large as the host in one window per leaf count, which keeps
+    a deep pattern in itself linear in memory. For a leaf pattern the table
+    holds only the host root.
+    """
+    if pattern.left is None:
+        return {id(host): (0, [0, host.leaf_count])}, {id(pattern): 1}
+    inner = sorted((p for p in _postorder(pattern) if p.left is not None), key=_leaf_count)
+    slot = {id(p): i for i, p in enumerate(inner, 2)}
+    plan = [(0, 0, 0), (1, 0, 0)] + [(i, slot.get(id(p.left), 1), slot.get(id(p.right), 1))
+                                     for i, p in enumerate(inner, 2)]
+    sizes = [0, 1] + [p.leaf_count for p in inner]
+    slack = host.leaf_count - pattern.leaf_count
+    zeros = [0] * len(plan)
+    # every host leaf: one vector of the true counts of all slots
+    at_leaf = 0, [0, 1] + zeros[2:]
+    # by host leaf count: lo, hi, plan[lo:hi]; a host vertex with
+    # leaf_count(pattern) to slack leaves counts every slot
+    windows: dict[int, tuple[int, int, list]] = {}
+    full = 0, len(plan), plan
+    table: _Table = {}
+    for v in _postorder(host):
+        if v.left is None:
+            table[id(v)] = at_leaf
             continue
-        if p.is_leaf or p.leaf_count > t.leaf_count:
-            memo[key] = t.leaf_count if p.is_leaf else 0
-            continue
-        deps = ((t.left, p), (t.right, p), (t.left, p.left), (t.right, p.right))
-        missing = [d for d in deps if (id(d[0]), id(d[1])) not in memo]
-        if missing:
-            stack += [(t, p), *missing]
-            continue
-        in_l, in_r, cr_l, cr_r = [memo[id(a), id(b)] for a, b in deps]
-        memo[key] = in_l + in_r + cr_l * cr_r
-    return memo[id(host), id(pattern)]
+        n = v.leaf_count
+        if sizes[-1] <= n <= slack:
+            lo, hi, part = full
+        else:
+            if n not in windows:
+                hi = bisect_right(sizes, n)
+                lo = min(bisect_left(sizes, n - slack), hi)
+                windows[n] = lo, hi, plan[lo:hi]
+            lo, hi, part = windows[n]
+        # the children's counts of slots 0 .. hi - 1, 0 outside their windows
+        (lo_l, l), (lo_r, r) = table[id(v.left)], table[id(v.right)]
+        if lo_l or len(l) < hi:
+            l = zeros[:lo_l] + l + zeros[: hi - lo_l - len(l)]
+        if lo_r or len(r) < hi:
+            r = zeros[:lo_r] + r + zeros[: hi - lo_r - len(r)]
+        table[id(v)] = lo, [l[i] + r[i] + l[a] * r[b] for i, a, b in part]
+    return table, slot
 
 
-def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: dict):
+def _count(table: _Table, v: PlaneTree, k: int) -> int:
+    """The count of slot k in host vertex v, read from a _count_table."""
+    lo, vec = table[id(v)]
+    return vec[k - lo] if lo <= k < lo + len(vec) else 0
+
+
+def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     """Lists of the copies of an internal p in t, in t's positions and in
     lexicographic order; a pair (w, r) instead when it needs the copies of r
-    in a subtree w that lists, keyed (id(w), id(r)), lacks.
+    in a subtree w that lists, keyed (id(w), id(r)), lacks. counts is the
+    _count_table of a host and a pattern that hold t and p, or None when
+    p's left spine has only leaves as right children.
 
     Let r_1, ..., r_L be the right children up p's left spine, lowest first.
     A copy is a first leaf a and, for each i, a copy of r_i in the right
@@ -176,11 +232,12 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: dict):
     ancestor lies further left, so the copies come in order when a rises,
     then u_1, then r_1's part, then u_2, and so on: no merge and no sort.
     One walk over the leaves keeps the current leaf's path, and the parts in
-    each right child on it, shifted to t's positions once. Which ancestors
-    hold a part is read from counts, a count_copies memo, so an ancestor is
-    tried at a level only if the levels above can still be filled, and a
-    part is listed only when the walk reaches it. A batch is the copies with
-    one prefix and one part at the last level.
+    each right child on it, shifted to t's positions once. Every ancestor
+    holds a leaf part; whether it holds another is one lookup in the count
+    table, which reads 0 for a part that no copy of its pattern can use. So
+    an ancestor is tried at a level only if the levels above can still be
+    filled, and a part is listed only when the walk reaches it. A batch is
+    the copies with one prefix and one part at the last level.
     """
     last = t.leaf_count - p.leaf_count  # the last leaf a copy can start at
     rights = []
@@ -189,6 +246,8 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: dict):
         p = p.left
     rights.reverse()
     top = len(rights) - 1
+    table, slot = counts or (None, None)
+    cols = [1 if r.left is None else slot[id(r)] for r in rights]
     # path: (right child, its first position) of each ancestor holding the
     # current leaf in its left child, highest first. parts[j][q]: the copies
     # of rights[j] there in t's positions, None until needed; leaf patterns
@@ -198,8 +257,7 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: dict):
     parts = [columns.setdefault(None if r.is_leaf else id(r), []) for r in rights]
 
     def holds(j: int, q: int) -> bool:
-        w, r = path[q][0], rights[j]
-        return r.is_leaf or counts.get((id(w), id(r))) or _tally(counts, w, r) > 0
+        return cols[j] == 1 or _count(table, path[q][0], cols[j]) > 0
 
     def fill(j: int, q: int):
         (w, off), r = path[q], rights[j]
@@ -254,19 +312,26 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: dict):
                     frames += [(j + 1, pre + c, q - 1) for c in reversed(col)]
 
 
-def _copies(host: PlaneTree, pattern: PlaneTree):
+def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     """The copies of pattern in host, lazily, in lexicographic order.
 
-    One _walk over the host yields them. The copy lists it asks for are built
-    by further walks, run from an explicit stack, so no Python recursion
-    grows with the host or the pattern; they are memoized on object
-    identity, so shared subtrees are listed once, and their running total
-    is charged to the enumeration cap. The copies yielded are not charged.
+    One _walk over the host yields them, reading one count table, built
+    here unless the caller passes _count_table(host, pattern) as counts; a
+    left comb needs none, as its parts are single leaves. The copy lists
+    the walk asks for are built by further walks, run from an explicit
+    stack, so no Python recursion grows with the host or the pattern; they
+    are memoized on object identity, so shared subtrees are listed once,
+    and their running total is charged to the enumeration cap. The copies
+    yielded are not charged.
     """
     if pattern.is_leaf:
         return zip(range(host.leaf_count))
     lists: dict[tuple[int, int], list[CopyRef]] = {}
-    counts: dict[tuple[int, int], int] = {}
+    spine = pattern
+    while spine.left is not None and spine.right.left is None:
+        spine = spine.left
+    if counts is None and spine.left is not None:
+        counts = _count_table(host, pattern)
 
     def batches():
         charged = 0
@@ -295,7 +360,9 @@ def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
     """All copies of pattern in host, lexicographically ordered.
 
     Guarded by the global enumeration cap, which bounds the result and,
-    separately, the copy lists the stream builds on the way (_copies).
+    separately, the copy lists the stream builds on the way (_copies). One
+    count table serves the cap check and the stream.
     """
-    check_enumeration(count_copies(host, pattern))
-    return list(_copies(host, pattern))
+    table, slot = counts = _count_table(host, pattern)
+    check_enumeration(_count(table, host, slot[id(pattern)]))
+    return list(_copies(host, pattern, counts))

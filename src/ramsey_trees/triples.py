@@ -113,6 +113,14 @@ class TripleStructure(_Value):
             raise FormatError('"domain" must be an array of strings')
         if not isinstance(triples, list):
             raise FormatError('"triples" must be an array')
+        # Whole-list checks first; the loop names the first bad triple and
+        # takes what they reject for a subclass of list or str.
+        if (
+            {*map(type, triples)} <= {list}
+            and {*map(len, triples)} <= {3}
+            and {*map(type, chain.from_iterable(triples))} <= {str}
+        ):
+            return cls(tuple(domain), frozenset(map(tuple, triples)))
         out = []
         for t in triples:
             if not isinstance(t, list) or len(t) != 3 or not all(isinstance(x, str) for x in t):

@@ -46,7 +46,7 @@ from ramsey_trees import (
 import ramsey_trees
 from ramsey_trees import arrows
 from ramsey_trees.arrows import _arrow_edges
-from helpers import brute_arrow_edges, brute_arrow_status, check_witness
+from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled
 
 CHERRY = parse_newick("(,)")
 CAT3 = parse_newick("((,),)")
@@ -639,6 +639,29 @@ def test_extract_mono_leafcolor_validation():
     three = Coloring.from_leaf_colors(host, [0, 1, 2, 0], 3)
     with pytest.raises(ValueError, match="more than j"):
         extract_mono_leafcolor(CHERRY, 2, host, three)
+
+
+def test_extract_mono_leafcolor_rejects_hosts_of_the_wrong_shape():
+    mirror = parse_newick("(,(,))")
+    block = iterate(CAT3, 2)
+    # 27 leaves, as iterate(CAT3, 3): a comb, the last sub-block of the
+    # last block mirrored, every sub-block mirrored
+    comb = parse_newick("(" * 26 + ",)" + ",)" * 25)
+    deep = node(node(block, block), node(node(CAT3, CAT3), mirror))
+    low = node(node(mirror, mirror), mirror)
+    for host in (comb, deep, node(node(low, low), low)):
+        assert host.leaf_count == 27
+        chi = Coloring.from_leaf_colors(host, [0] * 27, 3)
+        with pytest.raises(ValueError, match="host must be the j-fold self-substitution of h"):
+            extract_mono_leafcolor(CAT3, 3, host, chi)
+    host = iterate(CAT3, 3)
+    with pytest.raises(ValueError, match="j-fold self-substitution"):
+        extract_mono_leafcolor(CAT3, 10**9, host, Coloring.from_leaf_colors(host, [0] * 27, 3))
+    # a host built apart, sharing nothing, has the right shape
+    apart = parse_newick(to_newick(labeled(host, "x")))
+    chi = Coloring.from_leaf_colors(apart, [i % 3 for i in range(27)], 3)
+    assert extract_mono_leafcolor(CAT3, 3, apart, chi) == extract_mono_leafcolor(
+        CAT3, 3, host, Coloring.from_leaf_colors(host, [i % 3 for i in range(27)], 3))
 
 
 @pytest.mark.parametrize("h,j", [(CHERRY, 2), (CAT3, 2)])

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,8 @@ from ramsey_trees import (
     format_copy,
     induced_subtree,
     is_copy,
+    iso,
+    iterate,
     leaf,
     leaf_lca_depth,
     node,
@@ -239,3 +243,80 @@ def test_stream_charges_only_the_lists_it_builds():
     assert sum(1 for _ in _copies(host, parse_newick("((,),)"))) == 20832
     set_max_enumeration(651)
     assert sum(1 for _ in _copies(host, pattern)) == 278256
+
+
+# The count table: one vector of counts per distinct host vertex.
+
+PATTERNS = [p for m in range(1, 6) for p in all_trees(m)]
+
+
+def _unshared_perfect(d, first=0):
+    if d == 0:
+        return leaf(str(first))
+    return node(_unshared_perfect(d - 1, first), _unshared_perfect(d - 1, first + (1 << d - 1)))
+
+
+def _mirror(t):
+    return t if t.is_leaf else node(_mirror(t.right), _mirror(t.left))
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_counts_do_not_depend_on_sharing(d):
+    shared, apart = perfect_tree(d), _unshared_perfect(d)
+    for p in PATTERNS:
+        assert count_copies(shared, p) == count_copies(apart, p), (d, p)
+
+
+def test_counts_on_large_hosts_sum_to_the_leaf_subsets():
+    # every m-subset of the leaves induces exactly one m-leaf shape
+    p20 = perfect_tree(20)
+    for host in (p20, iterate(parse_newick("((,),)"), 8)):
+        n = host.leaf_count
+        for m in range(1, 6):
+            assert sum(count_copies(host, p) for p in all_trees(m)) == math.comb(n, m)
+    for p in PATTERNS:
+        assert count_copies(p20, p) == count_copies(p20, _mirror(p)), p
+
+
+def test_counts_in_a_deep_comb():
+    comb = _comb(3002, "left")
+    for m in range(1, 6):
+        for p in all_trees(m):
+            want = math.comb(3002, m) if iso(p, _comb(m, "left")) else 0
+            assert count_copies(comb, p) == want, p
+
+
+def test_counts_when_pattern_vertices_are_host_vertices():
+    for t in (perfect_tree(4), _comb(9, "left"), parse_newick("((,(,)),((,),))")):
+        assert count_copies(t, t) == 1
+        apart = parse_newick(to_newick(t.left))
+        assert count_copies(t, t.left) == count_copies(t, apart) == len(brute_copies(t, apart))
+        assert enumerate_copies(t, t.left) == brute_copies(t, apart)
+
+
+def test_patterns_nearly_as_large_as_the_host():
+    # only the windows of the pattern's largest vertices are counted here
+    for n in range(1, 7):
+        for host in all_trees(n):
+            for m in range(max(1, n - 2), n + 2):
+                for p in all_trees(m):
+                    want = brute_copies(host, p)
+                    assert count_copies(host, p) == len(want), (host, p)
+                    assert enumerate_copies(host, p) == want, (host, p)
+
+
+def test_count_memory_is_bounded():
+    # peaks: about 2.2 MB for a 5-leaf comb in the 3002-leaf comb, one
+    # vector of six slots per host vertex, and about 1 MB for an 1100-leaf
+    # comb in itself, where a host vertex counts one window of slots
+    cases = [(_comb(3002, "left"), _comb(5, "left"), math.comb(3002, 5), 4e6)]
+    deep = _comb(1100, "left")
+    cases.append((deep, deep, 1, 2e6))
+    for host, pattern, want, bound in cases:
+        tracemalloc.start()
+        try:
+            assert count_copies(host, pattern) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (host.leaf_count, pattern.leaf_count, peak)

@@ -349,6 +349,37 @@ def test_json_triples_must_be_an_array():
             TripleStructure.from_json_obj({"domain": ["a", "b", "c"], "triples": triples})
 
 
+def test_json_malformed_triple_is_named():
+    # Each shape the per-triple loop rejects, alone and after good triples
+    # with a second bad one behind it: the message names the first.
+    good = [["a", "b", "c"], ["b", "a", "c"]]
+    bad_shapes = [
+        ("a", "b", "c"), "abc", {"a": 1}, None, 7, [], ["a", "b"], ["a", "b", "c", "a"],
+        ["a", "b", 3], [None, "b", "c"], ["a", ["b"], "c"], ["a", "b", True],
+    ]
+    for bad in bad_shapes:
+        message = f"each triple must be an array of three strings: {bad!r}"
+        for triples in ([bad], good + [bad, ["x"]]):
+            obj = {"domain": ["a", "b", "c"], "triples": triples}
+            with pytest.raises(FormatError) as err:
+                TripleStructure.from_json_obj(obj)
+            assert str(err.value) == message
+
+
+def test_json_triples_of_list_and_str_subclasses_are_read():
+    class Text(str):
+        pass
+
+    class Array(list):
+        pass
+
+    g = structure_of(parse_newick("((a,b),c)"))
+    triples = g.to_json_obj()["triples"]
+    for convert in (Array, lambda t: [Text(x) for x in t]):
+        obj = {"domain": ["a", "b", "c"], "triples": [convert(t) for t in triples]}
+        assert TripleStructure.from_json_obj(obj) == g
+
+
 def test_json_triples_sorted_by_domain_position():
     g = structure_of(parse_newick("((z,y),x)"))
     obj = g.to_json_obj()
