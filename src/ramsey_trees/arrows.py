@@ -20,7 +20,14 @@ from collections.abc import Callable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, _postorder, iso, parse_newick, perfect_tree, to_newick
-from .embedding import CopyRef, _copies, count_copies, enumerate_copies, induced_subtree
+from .embedding import (
+    CopyRef,
+    _copies,
+    _target_splits,
+    count_copies,
+    enumerate_copies,
+    induced_subtree,
+)
 from .limits import _Value, _require_int, check_enumeration
 from .coloring import Coloring, _least_agreeing, _relabel, is_mono
 
@@ -282,23 +289,6 @@ def _search_arrow(
     return dict(zip(variables, colors)), nodes
 
 
-def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
-    """One bit per distinct subtree shape of target; the leaf shape is bit 0.
-
-    Returns one (shape, left child shape, right child shape) triple of bits
-    per internal shape, numbered in the _postorder of target, and the bit of
-    target's own shape.
-    """
-    index: dict[tuple[int, int], int] = {}
-    shape: dict[int, int] = {}
-    for v in _postorder(target):
-        shape[id(v)] = 0 if v.left is None else index.setdefault(
-            (shape[id(v.left)], shape[id(v.right)]), len(index) + 1
-        )
-    splits = [(1 << s, 1 << a, 1 << b) for (a, b), s in index.items()]
-    return splits, 1 << shape[id(target)]
-
-
 def _rearrangements(state: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Every distinct ordering of a sorted tuple, in lexicographic order."""
     out = [state]
@@ -352,6 +342,8 @@ def _leaf_arrow(
     """
     n = host.leaf_count
     splits, full = _target_splits(target)
+    splits = [(1 << s, 1 << a, 1 << b) for s, a, b in splits]
+    full = 1 << full
     grown: dict[tuple[int, int], int] = {}
 
     def combine(left: tuple[int, ...], right: tuple[int, ...]) -> list[int] | None:

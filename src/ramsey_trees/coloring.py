@@ -6,13 +6,16 @@ pattern-copies whose leaves lie inside it share one color; a region with no
 pattern-copies at all counts as monochromatic with sentinel color -1.
 
 find_mono_copy and find_psi_mono return the lexicographically least
-qualifying copy of a target: the first that the lazy copy stream
+qualifying copy of a target. When the copies to agree are single leaves, one
+pass per leaf value, over the tree the leaves of that value induce, finds it
+(_least_leafwise); otherwise it is the first that the lazy copy stream
 (embedding._copies) offers. Neither lists all copies of the target, so the
 enumeration cap counts only the lists the stream builds on the way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import itemgetter
 
 from .errors import FormatError
@@ -22,8 +25,10 @@ from .embedding import (
     CopyRef,
     _copies,
     _parting,
+    _target_splits,
     enumerate_copies,
     induced_subtree,
+    is_copy,
     validate_copy,
 )
 
@@ -36,10 +41,11 @@ class Coloring(_Value):
     A color is an int, or an int subclass other than bool. A Coloring is not
     hashable, as its assignment is a dict.
 
-    The constructor reorders the given assignment in one pass over the
-    copies and checks the colors as a set: all of type int, the least and
-    the greatest in range(k). Only when that fails does it check copy by
-    copy, to name the lexicographically first copy whose color is bad.
+    The constructor takes a given assignment whose keys are the copies in
+    order as it is, and reorders any other in one pass over the copies. It
+    checks the colors as a set: all of type int, the least and the greatest
+    in range(k). Only when that fails does it check copy by copy, to name
+    the lexicographically first copy whose color is bad.
     """
 
     _fields = ("host", "pattern", "k", "assignment")
@@ -50,10 +56,13 @@ class Coloring(_Value):
         _require_int("number of colors", k)
         copies = enumerate_copies(host, pattern)
         given = assignment
-        try:
-            ordered = {c: given[c] for c in copies}
-        except KeyError:
-            ordered = None
+        if list(given) == copies:
+            ordered = dict(zip(copies, given.values()))
+        else:
+            try:
+                ordered = {c: given[c] for c in copies}
+            except KeyError:
+                ordered = None
         if ordered is None or len(given) != len(copies):
             missing = [c for c in copies if c not in given]
             known = set(copies)
@@ -147,20 +156,111 @@ def _relabel(rel: CopyRef):
     return itemgetter(*rel) if len(rel) > 1 else itemgetter(slice(rel[0], rel[0] + 1))
 
 
+def _inside(host: PlaneTree, region: CopyRef | None) -> tuple[PlaneTree, CopyRef | None]:
+    """(the tree a search inside region runs over, the host positions of its
+    leaves or None for the host itself). Inside a region it is the tree
+    region induces, whose copies map to host copies through region, which
+    is increasing and so keeps their order."""
+    if region is None or len(region) == host.leaf_count:
+        # induced_subtree of every leaf is the host itself, so this only
+        # skips the identity relabel and the region's validation
+        return host, None
+    return induced_subtree(host, region), region
+
+
 def _least_within(
     host: PlaneTree, region: CopyRef | None, target: PlaneTree, accept
 ) -> CopyRef | None:
     """The least copy of target inside region (the whole host if None) that
     passes accept, in host positions: the first the copy stream offers, so
-    accept sees the copies before it in order, once each. Inside a region
-    the stream runs over the tree region induces, mapped through region,
-    which is increasing and so keeps the order."""
-    if region is None or len(region) == host.leaf_count:
-        # induced_subtree of every leaf is the host itself, so this only
-        # skips the identity relabel and the region's validation
-        return next(filter(accept, _copies(host, target)), None)
-    inside = _copies(induced_subtree(host, region), target)
-    return next(filter(accept, (_relabel(c)(region) for c in inside)), None)
+    accept sees the copies before it in order, once each."""
+    tree, leaves = _inside(host, region)
+    inside = _copies(tree, target)
+    if leaves is not None:
+        inside = (_relabel(c)(leaves) for c in inside)
+    return next(filter(accept, inside), None)
+
+
+def _least_leafwise(
+    tree: PlaneTree, target: PlaneTree, values: list
+) -> tuple[CopyRef, object] | None:
+    """(least copy of target in tree whose leaves all take one value, that
+    value), None if no copy qualifies; values[i] is the value of leaf i.
+
+    One pass per distinct value held by at least as many leaves as target
+    has, in post-order from an explicit stack, over the tree those leaves
+    induce: a vertex is visited only where they part, as in
+    induced_subtree, and a path where they do not part is skipped. A vertex
+    v gets, for each shape s of _target_splits(target) with at most as many
+    leaves as v holds of the value, the least copy least(s, v) of s among
+    them, or None. That is the smaller of least(s, v.left) and
+    least(a, v.left) + least(b, v.right), a and b the shapes of s's
+    children, where they exist; if neither does, it is least(s, v.right).
+    Every left position comes before every right one, so concatenation
+    keeps the order. Values are taken in the order of their first leaf, and
+    the passes stop once the best copy so far starts before the next
+    value's first leaf. The answer is re-checked, under python -O too,
+    before it is returned.
+    """
+    splits, whole = _target_splits(target)
+    size = [1] * (len(splits) + 1)
+    for s, a, b in splits:
+        size[s] = size[a] + size[b]
+    # by the number of leaves of the value below a vertex: the splits of
+    # the shapes that fit them
+    plans: dict[int, list[tuple[int, int, int]]] = {}
+    rest = [None] * len(splits)
+    groups: dict = {}
+    for i, x in enumerate(values):
+        groups.setdefault(x, []).append(i)
+    best = None
+    for value, pos in groups.items():
+        if best is not None and best[0][0] < pos[0]:
+            break  # every copy of this value or a later one starts later
+        if len(pos) < target.leaf_count:
+            continue
+        out: list[list] = []
+        # (vertex, its first position, i, j) with pos[i:j] inside it, or
+        # the number of those positions once both children's lists are on out
+        stack: list = [(tree, 0, 0, len(pos))]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is int:
+                plan = plans.get(item)
+                if plan is None:
+                    plan = plans[item] = [e for e in splits if size[e[0]] <= item]
+                r = out.pop()
+                l = out[-1]
+                least = l[:]
+                for s, a, b in plan:
+                    x, y = l[a], r[b]
+                    if x is not None and y is not None:
+                        x += y
+                        if least[s] is None or x < least[s]:
+                            least[s] = x
+                    elif least[s] is None:
+                        least[s] = r[s]
+                out[-1] = least
+                continue
+            v, lo, i, j = item
+            v, lo, _ = _parting(v, lo, pos[i], pos[j - 1])
+            if v.left is None:
+                out.append([(lo,)] + rest)
+            else:
+                mid = lo + v.left.leaf_count
+                k = bisect_left(pos, mid, i, j)
+                stack += (j - i, (v.right, mid, k, j), (v.left, lo, i, k))
+        found = out[0][whole]
+        if found is not None and (best is None or found < best[0]):
+            best = found, value
+    if best is not None and not (
+        is_copy(tree, best[0], target) and all(values[i] == best[1] for i in best[0])
+    ):
+        raise RuntimeError(
+            f"internal error: leaf pass returned {list(best[0])}, "
+            "not a copy of the target in one value"
+        )
+    return best
 
 
 def _least_agreeing(
@@ -168,10 +268,22 @@ def _least_agreeing(
 ) -> tuple[CopyRef, int] | None:
     """(least copy of target inside region whose copies of pattern all take
     one value(), that value or -1 if target holds no copy of pattern), None
-    if no copy qualifies. A candidate's copies of pattern are read through
-    one _relabel getter per copy of the template enumerate_copies(target,
+    if no copy qualifies.
+
+    For a single-leaf pattern a copy qualifies when its leaves all take one
+    value: value() is read once per leaf of region and _least_leafwise
+    answers in one pass per value. Otherwise the candidates come from the
+    copy stream, and a candidate's copies of pattern are read through one
+    _relabel getter per copy of the template enumerate_copies(target,
     pattern), built at the first candidate: a search that meets no copy of
     target never enumerates the template."""
+    if pattern.left is None:
+        tree, leaves = _inside(host, region)
+        values = [value((x,)) for x in leaves or range(host.leaf_count)]
+        found = _least_leafwise(tree, target, values)
+        if found is None or leaves is None:
+            return found
+        return _relabel(found[0])(leaves), found[1]
     getters: list | None = None
     shared = -1
 
@@ -200,11 +312,15 @@ def find_mono_copy(
     -1 when target holds no copy of chi.pattern, as in is_mono), among the
     copies inside region if it is given; None if no copy qualifies.
 
-    The candidates are read in order from the copy stream, up to the first
-    hit, so an answer found early is cheap and the list of all copies of
-    target is never built: the enumeration cap counts only the lists of
-    subpatterns the stream builds before the hit. When no copy qualifies,
-    every copy is still checked once.
+    Under a single-leaf pattern, a copy is monochromatic when its leaves
+    share one color, and one pass per color, over the tree that color's
+    leaves in region induce, gives the least copy of target among them; no
+    copy is listed. Under a larger pattern, the candidates are
+    read in order from the copy stream, up to the first hit, so an answer
+    found early is cheap and the list of all copies of target is never
+    built: the enumeration cap counts only the lists of subpatterns the
+    stream builds before the hit. When no copy qualifies, every copy is
+    still checked once.
     """
     if region is not None:
         region = validate_copy(chi.host, region)
@@ -282,9 +398,12 @@ def find_psi_mono(
     pattern-child copies (left child if side='left', else right) have equal
     fusion images against partner; None if no copy qualifies.
 
-    The candidates come from the copy stream, as in find_mono_copy, and a
-    child-copy's fusion image is computed only when a candidate holds it,
-    as a tuple of colors in partner-copy order."""
+    A child-copy's fusion image is a tuple of colors in partner-copy order.
+    When the pattern child is a single leaf, the image of every leaf in
+    region is computed first and the leaf pass of find_mono_copy answers;
+    otherwise the candidates come from the copy stream, as in
+    find_mono_copy, and an image is computed only when a candidate holds
+    its child-copy."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     region = validate_copy(chi.host, region)

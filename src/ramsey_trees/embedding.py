@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, combinations
 from operator import attrgetter
 
 from .errors import FormatError
@@ -170,8 +170,11 @@ def _count_table(host: PlaneTree, pattern: PlaneTree) -> tuple[_Table, dict[int,
     window, or is 0 as a part does not fit, or is a factor whose partner
     does not fit. So a small pattern is counted in every slot, and a
     pattern as large as the host in one window per leaf count, which keeps
-    a deep pattern in itself linear in memory. For a leaf pattern the table
-    holds only the host root.
+    a deep pattern in itself linear in memory. A child's window starts at
+    or below v's, so a child whose window does not start at slot 0 is read
+    through its offset, and only the tail of a child's counts is ever
+    padded with zeros: a deep pattern in itself then costs time linear in
+    the host too. For a leaf pattern the table holds only the host root.
     """
     if pattern.left is None:
         return {id(host): (0, [0, host.leaf_count])}, {id(pattern): 1}
@@ -202,13 +205,23 @@ def _count_table(host: PlaneTree, pattern: PlaneTree) -> tuple[_Table, dict[int,
                 lo = min(bisect_left(sizes, n - slack), hi)
                 windows[n] = lo, hi, plan[lo:hi]
             lo, hi, part = windows[n]
-        # the children's counts of slots 0 .. hi - 1, 0 outside their windows
         (lo_l, l), (lo_r, r) = table[id(v.left)], table[id(v.right)]
-        if lo_l or len(l) < hi:
-            l = zeros[:lo_l] + l + zeros[: hi - lo_l - len(l)]
-        if lo_r or len(r) < hi:
-            r = zeros[:lo_r] + r + zeros[: hi - lo_r - len(r)]
-        table[id(v)] = lo, [l[i] + r[i] + l[a] * r[b] for i, a, b in part]
+        # the children's counts up to slot hi - 1, 0 past their windows
+        if lo_l + len(l) < hi:
+            l = l + zeros[: hi - lo_l - len(l)]
+        if lo_r + len(r) < hi:
+            r = r + zeros[: hi - lo_r - len(r)]
+        if lo_l or lo_r:
+            # Read slot x of a child at x - lo, its window's offset. A
+            # child's window starts at or below v's, so only a part below
+            # it is out of reach; it does not fit and reads 0.
+            table[id(v)] = lo, [
+                l[i - lo_l] + r[i - lo_r]
+                + (l[a - lo_l] * r[b - lo_r] if a >= lo_l and b >= lo_r else 0)
+                for i, a, b in part
+            ]
+        else:
+            table[id(v)] = lo, [l[i] + r[i] + l[a] * r[b] for i, a, b in part]
     return table, slot
 
 
@@ -216,6 +229,22 @@ def _count(table: _Table, v: PlaneTree, k: int) -> int:
     """The count of slot k in host vertex v, read from a _count_table."""
     lo, vec = table[id(v)]
     return vec[k - lo] if lo <= k < lo + len(vec) else 0
+
+
+def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
+    """One number per distinct subtree shape of target; the leaf shape is 0.
+
+    Returns one (shape, left child shape, right child shape) triple per
+    internal shape, numbered from 1 in the _postorder of target, so that a
+    shape comes after its children's, and the number of target's own shape.
+    """
+    index: dict[tuple[int, int], int] = {}
+    shape: dict[int, int] = {}
+    for v in _postorder(target):
+        shape[id(v)] = 0 if v.left is None else index.setdefault(
+            (shape[id(v.left)], shape[id(v.right)]), len(index) + 1
+        )
+    return [(s, a, b) for (a, b), s in index.items()], shape[id(target)]
 
 
 def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
@@ -315,17 +344,19 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
 def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     """The copies of pattern in host, lazily, in lexicographic order.
 
-    One _walk over the host yields them, reading one count table, built
-    here unless the caller passes _count_table(host, pattern) as counts; a
-    left comb needs none, as its parts are single leaves. The copy lists
+    Every set of one or two leaves is a copy of the one- or two-leaf tree,
+    so those come from itertools.combinations. Any larger pattern's come
+    from one _walk over the host, reading one count table, built here
+    unless the caller passes _count_table(host, pattern) as counts; a left
+    comb needs none, as its parts are single leaves. The copy lists
     the walk asks for are built by further walks, run from an explicit
     stack, so no Python recursion grows with the host or the pattern; they
     are memoized on object identity, so shared subtrees are listed once,
     and their running total is charged to the enumeration cap. The copies
     yielded are not charged.
     """
-    if pattern.is_leaf:
-        return zip(range(host.leaf_count))
+    if pattern.leaf_count <= 2:
+        return combinations(range(host.leaf_count), pattern.leaf_count)
     lists: dict[tuple[int, int], list[CopyRef]] = {}
     spine = pattern
     while spine.left is not None and spine.right.left is None:

@@ -46,6 +46,7 @@ from ramsey_trees import (
 import ramsey_trees
 from ramsey_trees import arrows
 from ramsey_trees.arrows import _arrow_edges
+from ramsey_trees.coloring import _least_agreeing
 from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled
 
 CHERRY = parse_newick("(,)")
@@ -755,6 +756,43 @@ def test_extract_mono_k_random_colorings():
         assert 0 <= color < 4
         assert all(colors[i] == color for i in copy)
         assert is_mono(chi, copy) == color
+
+
+def _seeded_leaf_colorings(top, k, seeds):
+    for seed in seeds:
+        rng = random.Random(seed)
+        colors = [rng.randrange(k) for _ in range(top.leaf_count)]
+        yield colors, Coloring.from_leaf_colors(top, colors, k)
+
+
+def test_extract_mono_k_on_the_eight_color_chain():
+    # Trees of 2, 4, 16 and 256 leaves: the first bit round looks for a
+    # one-bit copy of the 16-leaf tree in the 256-leaf one, under the
+    # default enumeration cap.
+    chain = build_reduction_chain(CHERRY, leaf(), 8)
+    top = chain.trees[-1]
+    assert [t.leaf_count for t in chain.trees] == [2, 4, 16, 256]
+    for colors, chi in _seeded_leaf_colorings(top, 8, range(4)):
+        start = time.perf_counter()
+        copy, color = extract_mono_k(chain, chi)
+        assert time.perf_counter() - start < 0.1
+        assert is_copy(top, copy, CHERRY)
+        assert {colors[i] for i in copy} == {color}
+
+
+def test_eight_color_first_bit_round_memory_is_bounded():
+    # peaks of 6-11 KB: one list of five shapes per vertex on the stack
+    chain = build_reduction_chain(CHERRY, leaf(), 8)
+    top, below = chain.trees[-1], chain.trees[-2]
+    for colors, chi in _seeded_leaf_colorings(top, 8, range(4)):
+        tracemalloc.start()
+        try:
+            copy, bit = _least_agreeing(top, None, below, leaf(), lambda c: colors[c[0]] >> 2 & 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert is_copy(top, copy, below) and {colors[i] >> 2 & 1 for i in copy} == {bit}
+        assert peak < 64_000, peak
 
 
 def test_extract_mono_k_validation():

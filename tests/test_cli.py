@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from ramsey_trees import (
     ArrowVerdict,
     Coloring,
     SearchBudget,
+    is_copy,
     iterate,
     node,
     parse_newick,
@@ -298,6 +300,28 @@ def test_chain_and_extract_k(capsys, tmp_path):
     got = json.loads(out)
     i, j = got["copy"]
     assert colors[i] == colors[j] == got["color"]
+
+
+def test_chain_and_extract_k_with_eight_colors(capsys, tmp_path):
+    # The top tree has 256 leaves; its first bit round looks for a one-bit
+    # copy of the 16-leaf tree in it under the default enumeration cap.
+    rc, out, _ = run(capsys, "chain", "(,)", "", "8")
+    assert rc == 0
+    chain_obj = json.loads(out)
+    assert len(chain_obj["trees"]) == 4
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(out, encoding="utf-8")
+    top = parse_newick(chain_obj["trees"][-1])
+    rng = random.Random(8)
+    colors = [rng.randrange(8) for _ in range(top.leaf_count)]
+    chi_file = tmp_path / "coloring.json"
+    chi_file.write_text(json.dumps(Coloring.from_leaf_colors(top, colors, 8).to_json_obj()),
+                        encoding="utf-8")
+    rc, out, _ = run(capsys, "extract-k", str(chain_file), str(chi_file))
+    assert rc == 0
+    got = json.loads(out)
+    assert is_copy(top, got["copy"], parse_newick("(,)"))
+    assert {colors[i] for i in got["copy"]} == {got["color"]}
 
 
 def test_extract_k_rejects_broken_chain(capsys, tmp_path):

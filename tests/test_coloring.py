@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,9 @@ from ramsey_trees import (
     psi_map,
     set_max_enumeration,
 )
+import ramsey_trees
+from ramsey_trees import coloring
+from ramsey_trees.coloring import _least_agreeing
 from helpers import brute_copies, brute_psi_mono
 
 CHERRY = parse_newick("(,)")
@@ -195,6 +202,76 @@ def test_find_psi_mono_matches_image_filter_oracle():
                         expected = brute_psi_mono(chi, region, target, side, partner)
                         got = find_psi_mono(chi, region, target, side, partner)
                         assert got == expected, (host, pattern, target, side, region, partner)
+
+
+def _brute_least_leafwise(host, region, target, values):
+    for cand in brute_copies(host, target):
+        if (region is None or set(region).issuperset(cand)) and len({values[i] for i in cand}) == 1:
+            return cand, values[cand[0]]
+    return None
+
+
+def test_leaf_pass_matches_brute_force():
+    # Every host of <= 7 leaves and target of <= 4 leaves, k <= 3, with and
+    # without a region; the values are colors, or pairs of them as fusion
+    # images are tuples of colors.
+    rng = random.Random(2023)
+    targets = [t for n in range(1, 5) for t in all_trees(n)]
+    found = 0
+    for host in (t for n in range(1, 8) for t in all_trees(n)):
+        n = host.leaf_count
+        for k in (1, 2, 3):
+            colors = [rng.randrange(k) for _ in range(n)]
+            pairs = [(c, rng.randrange(k)) for c in colors]
+            region = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+            for values in (colors, pairs):
+                for target in targets:
+                    for reg in (None, region):
+                        want = _brute_least_leafwise(host, reg, target, values)
+                        got = _least_agreeing(host, reg, target, leaf(), lambda c: values[c[0]])
+                        assert got == want, (host, target, values, reg)
+                        found += want is not None
+    assert found > 1000
+
+
+def test_leaf_pass_rechecks_its_answer(monkeypatch):
+    # With each split's child shapes swapped, the pass builds (,(,)) where
+    # ((,),) is asked for; the re-check finds it is not a copy.
+    splits = coloring._target_splits
+
+    def swapped(t):
+        inner, whole = splits(t)
+        return [(s, b, a) for s, a, b in inner], whole
+
+    monkeypatch.setattr(coloring, "_target_splits", swapped)
+    with pytest.raises(RuntimeError, match=r"leaf pass returned \[0, 2, 3\], not a copy"):
+        find_mono_copy(leafchi([0, 0, 0, 0]), CAT3)
+
+
+def test_leaf_pass_recheck_runs_under_optimize():
+    # python -O strips assert statements; the re-check must still run.
+    script = (
+        "from ramsey_trees import coloring, find_mono_copy, parse_newick, perfect_tree\n"
+        "from ramsey_trees import Coloring\n"
+        "splits = coloring._target_splits\n"
+        "coloring._target_splits = lambda t: ([(s, b, a) for s, a, b in splits(t)[0]], splits(t)[1])\n"
+        "chi = Coloring.from_leaf_colors(perfect_tree(2), [0, 0, 0, 0], 1)\n"
+        "try:\n"
+        "    find_mono_copy(chi, parse_newick('((,),)'))\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    src = str(Path(ramsey_trees.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("internal error: leaf pass returned [0, 2, 3]")
 
 
 def test_finders_find_nothing_under_bad_colorings():

@@ -119,6 +119,14 @@ def test_copies_match_bruteforce_on_small_universe():
             assert count_copies(host, pattern) == len(expected)
 
 
+def test_copies_of_one_and_two_leaves_match_bruteforce():
+    # every set of one or two leaves is a copy, whatever the labels
+    patterns = [leaf(), leaf("x"), perfect_tree(1), parse_newick("(a,b)")]
+    for host in [t for n in range(1, 8) for t in all_trees(n)] + [_comb(40, "left")]:
+        for pattern in patterns:
+            assert list(_copies(host, pattern)) == brute_copies(host, pattern), (host, pattern)
+
+
 @given(trees, trees.filter(lambda p: p.leaf_count <= 4))
 def test_count_matches_enumeration_length(host, pattern):
     assert count_copies(host, pattern) == len(enumerate_copies(host, pattern))
