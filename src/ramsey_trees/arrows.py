@@ -161,6 +161,11 @@ def check_arrow(
     return ArrowVerdict(status, witness, nodes, elapsed_ms())
 
 
+# Stored lookup entries of one search, each charged 1 + its length, per
+# edge and variable of the constraint set.
+_LOOKUP_ALLOWANCE = 4
+
+
 def _search_arrow(
     host: PlaneTree,
     target: PlaneTree,
@@ -185,19 +190,31 @@ def _search_arrow(
     it, so when d gets a color the assigned variables are exactly 0..d. A
     constraint can therefore turn unit only at its second-to-last member:
     before that it keeps two free members and nothing follows. It is
-    watched there alone, as the bitmask of its earlier members and its last
-    member u. When d gets color c and that mask meets no variable of another
-    color, u's domain loses c, and a domain left empty is a conflict. The
-    violation test at the last member, which a check of every constraint of
-    d would also make, can never fire: u cannot take c while that removal
-    stands, and it stands until the search backtracks above the
-    second-to-last member. Whether a node conflicts, and which domain
+    watched there alone, as the bitmask e of its earlier members and its
+    last member u. When d gets color c and e lies inside the mask of the
+    variables of color c, u's domain loses c, and a domain left empty is a
+    conflict. The violation test at the last member, which a check of every
+    constraint of d would also make, can never fire: u cannot take c while
+    that removal stands, and it stands until the search backtracks above
+    the second-to-last member. Whether a node conflicts, and which domain
     changes it leaves behind, do not depend on the order of the tests, and
     the tests skipped could not act, so the node counts and witnesses are
     those of testing every constraint of the variable, in any order of the
-    edges. Per color there is one bitmask of the variables holding it, the
-    trail records only domain changes, and the untried colors and trail
-    marks are lists indexed by depth.
+    edges.
+
+    Which watched last members lose c depends only on the key colmask[c] &
+    rel[d], where rel[d] is the OR of the masks watched at d: a mask inside
+    rel[d] lies inside colmask[c] iff it lies inside the key. So they are
+    looked up in a dict of depth d by that key, filled from a scan of d's
+    watch list on the key's first use. The dicts are bounded by the
+    constraints, not by the nodes: each stored entry costs 1 + its length
+    out of an allowance of _LOOKUP_ALLOWANCE * (edges + variables). Once
+    that is spent, a key not stored is scanned anew at each use, which
+    finds the same members. The removals of depth d are kept in a list of
+    variables for d and undone by OR-ing d's color back into each domain:
+    a removal always clears a bit that was set. Per color there is one
+    bitmask of the variables holding it, and the untried colors are a list
+    indexed by depth.
     """
     variables, edges = _arrow_edges(host, target, pattern, poll)
     poll(0)
@@ -207,13 +224,13 @@ def _search_arrow(
     order = sorted(range(m), key=lambda v: (-degree[v], v))
     # From here on a variable is named by its depth d in the order.
     bit = [1 << d for d in range(m)]
-    before = [b - 1 for b in bit]  # the variables before d
     at = [0] * m  # at[v]: the bit of variable v's depth
     for d, v in enumerate(order):
         at[v] = bit[d]
     # watch[d]: (mask of the earlier members, last member) per constraint
-    # whose second-to-last member is d
+    # whose second-to-last member is d; rel[d]: the OR of those masks
     watch: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    rel = [0] * m
     for e in edges:
         mask = 0
         for v in e:
@@ -221,15 +238,19 @@ def _search_arrow(
         last = mask.bit_length() - 1
         mask ^= bit[last]
         second = mask.bit_length() - 1
-        watch[second].append((mask ^ bit[second], last))
+        mask ^= bit[second]
+        watch[second].append((mask, last))
+        rel[second] |= mask
+    # losers[d]: key -> the distinct watched last members that lose the color
+    losers: list[dict[int, list[int]]] = [{} for _ in range(m)]
+    room = _LOOKUP_ALLOWANCE * (len(edges) + m)
 
     domain = [(1 << k) - 1] * m
     domain[0] = 1  # symmetry: the first decision variable gets color 0
     color_of = [0] * m
     colmask = [0] * k
-    trail: list[tuple[int, int]] = []  # (variable, domain before the change)
     untried = [0] * m  # per depth: colors of d not yet tried
-    marks = [0] * m  # per depth: trail length before d got its color
+    removed: list[list[int]] = [[]] * m  # per depth: the variables it cut
 
     nodes = 0
     d = 0
@@ -241,11 +262,11 @@ def _search_arrow(
             d -= 1
             if d < 0:
                 return None, nodes
-            colmask[color_of[d]] ^= bit[d]
-            mark = marks[d]
-            while len(trail) > mark:
-                u, old = trail.pop()
-                domain[u] = old
+            c = color_of[d]
+            colmask[c] ^= bit[d]
+            low = 1 << c
+            for u in removed[d]:
+                domain[u] |= low
             continue
         if nodes >= max_nodes:
             raise _OutOfBudget(nodes)
@@ -255,30 +276,33 @@ def _search_arrow(
         low = mask & -mask
         untried[d] = mask ^ low
         c = low.bit_length() - 1
-        color_of[d] = c
         same = colmask[c]
-        other = before[d] ^ same
-        colmask[c] = same | bit[d]
-        mark = marks[d] = len(trail)
-        for e, u in watch[d]:
-            if e & other:
-                continue
+        key = same & rel[d]
+        hit = losers[d].get(key)
+        if hit is None:
+            hit = list(dict.fromkeys([u for e, u in watch[d] if e & key == e]))
+            room -= 1 + len(hit)
+            if room >= 0:
+                losers[d][key] = hit
+        cut = []
+        for u in hit:
             old = domain[u]
             if old & low:
-                trail.append((u, old))
+                cut.append(u)
                 domain[u] = old ^ low
                 if old == low:
                     break
         else:
+            color_of[d] = c
+            colmask[c] = same | bit[d]
+            removed[d] = cut
             d += 1
             if d == m:
                 break
             untried[d] = domain[d]
             continue
-        colmask[c] = same
-        while len(trail) > mark:
-            u, old = trail.pop()
-            domain[u] = old
+        for u in cut:
+            domain[u] |= low
 
     colors = [0] * m
     for d, v in enumerate(order):

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import itertools
 import json
 import os
@@ -264,6 +265,57 @@ def test_search_arrow_pinned_path_on_p4():
     assert digest.hexdigest() == "69bfe52d14b245a00a2bc9279e70a96f5caa71374cfac97529e1febf803f2bde"
 
 
+def test_search_arrow_pinned_path_on_p5():
+    # P5 has 496 cherries, so the variable masks span many machine digits.
+    # The last query, P4 -> (P2)^cherry_2 at 20k nodes, spends the search's
+    # allowance of 4 * (860 edges + 120 variables) stored lookup entries
+    # after about 10k nodes and runs the rest without storing. It ends
+    # unknown, so it pins only that path's node count; the test below pins
+    # that path on decided queries.
+    p5, p2, mirror = perfect_tree(5), perfect_tree(2), parse_newick("(,(,))")
+    queries = [
+        (p5, target, CHERRY, k, max_nodes)
+        for target, max_nodes in ((CAT3, 20_000), (mirror, 20_000), (p2, 10_000))
+        for k in (2, 3)
+    ]
+    queries.append((perfect_tree(4), p2, CHERRY, 2, 20_000))
+    digest = hashlib.sha256()
+    statuses = []
+    for host, target, pattern, k, max_nodes in queries:
+        v = check_arrow(host, target, pattern, k, SearchBudget(max_nodes=max_nodes))
+        statuses.append(v.status)
+        witness = None if v.witness is None else sorted(v.witness.assignment.items())
+        digest.update(repr((v.status, v.nodes, witness)).encode())
+    assert statuses == ["unknown"] * 3 + ["fails"] + ["unknown"] * 3
+    assert digest.hexdigest() == "4891e465d41fef0818fc10a02509eebd1eeb3e999b75fc600d3b1ceebbcc3023"
+
+
+def test_search_answers_do_not_depend_on_the_lookup_allowance(monkeypatch):
+    # With no allowance every lookup is scanned anew and none is stored; the
+    # 42 queries of the P4 digest and the bench's must get the same answers.
+    p4, p2, mirror = perfect_tree(4), perfect_tree(2), parse_newick("(,(,))")
+    queries = [
+        (p4, target, pattern, k, 5_000)
+        for target in (t for n in (3, 4) for t in all_trees(n))
+        for pattern in (t for n in (2, 3) for t in all_trees(n))
+        for k in (2, 3)
+    ]
+    queries += [(p4, CAT3, CHERRY, 2, 20_000), (p4, mirror, CHERRY, 2, 20_000),
+                (p4, CAT3, CHERRY, 3, 20_000), (p4, p2, CAT3, 2, 200_000)]
+
+    def answers():
+        out = []
+        for host, target, pattern, k, max_nodes in queries:
+            v = check_arrow(host, target, pattern, k, SearchBudget(max_nodes=max_nodes))
+            out.append((v.status, v.nodes, v.witness))
+        return out
+
+    want = answers()
+    assert [a[0] for a in want].count("fails") == 18
+    monkeypatch.setattr(arrows, "_LOOKUP_ALLOWANCE", 0)
+    assert answers() == want
+
+
 def test_search_budget_validates_its_fields():
     # nodes >= max_nodes stops the search, so a bool, negative or
     # fractional budget would silently act as some integer; it is refused.
@@ -419,7 +471,10 @@ def test_every_poll_site_stops_the_engines():
             assert polls == full_calls[:stop_at], (engine, stop_at)
             assert stop.value.nodes == polls[-1][0], (engine, stop_at)
         total = full[1]
-        for max_nodes in (range(total) if total < 200 else (0, 1, 1024, total - 1)):
+        sweep = range(total) if total < 200 else (0, 1, 1024, total - 1)
+        if engine is arrows._search_arrow:
+            sweep = (*sweep, 1023, 1025, 2048)  # either side of the polls
+        for max_nodes in sweep:
             with pytest.raises(arrows._OutOfBudget) as stop:
                 engine(*args, max_nodes, lambda nodes: None)
             assert stop.value.nodes == max_nodes, (engine, max_nodes)
@@ -427,6 +482,10 @@ def test_every_poll_site_stops_the_engines():
 
     assert full_polls[0] == [1, 3, 6, 11, 18, 27, 33, 37, 39, 40, 40, 40, 40]
     assert full_polls[1] == [0, 0, 1024, 2048, 3072]
+    polls = []
+    with pytest.raises(arrows._OutOfBudget) as stop:
+        arrows._search_arrow(*queries[1][1], 2048, lambda nodes: polls.append(nodes))
+    assert (polls, stop.value.nodes) == ([0, 0, 1024, 2048], 2048)
     with open(arrows.__file__, encoding="utf-8") as fh:
         sites = {
             n.lineno
@@ -498,6 +557,26 @@ def test_search_rechecks_its_witness(monkeypatch):
         check_arrow(perfect_tree(2), perfect_tree(2), CHERRY, 2)
 
 
+def test_search_lookup_memory_is_bounded_by_the_constraints():
+    # The per-depth lookups stop storing once their allowance, linear in the
+    # edges and variables, is spent (by about 10k nodes here), so a search 40
+    # times longer peaks within a quarter of the short one's peak: about 196
+    # KB against 172 KB. With no allowance cap the long one peaked at 272 KB.
+    def peak(max_nodes):
+        tracemalloc.start()
+        try:
+            with pytest.raises(arrows._OutOfBudget):
+                arrows._search_arrow(perfect_tree(4), perfect_tree(2), CHERRY, 2, max_nodes,
+                                     lambda nodes: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations of the modules it uses
+    short, long = peak(5_000), peak(200_000)
+    assert long < 1.25 * short, (short, long)
+
+
 def test_leaf_arrow_rechecks_its_witness(monkeypatch):
     # With no split rule the DP sees no target anywhere and returns a
     # coloring of P2 whose re-check finds a cherry in one color.
@@ -518,17 +597,43 @@ def test_leaf_arrow_recheck_runs_under_optimize():
         "except RuntimeError as e:\n"
         "    print(e)\n"
     )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("internal error: bad leaf coloring has a copy of the target")
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run script under python -O with this package importable."""
     src = str(Path(ramsey_trees.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_search_recheck_runs_under_optimize():
+    # The search's re-check of its witness must run under python -O too.
+    script = (
+        "from ramsey_trees import arrows, check_arrow, parse_newick, perfect_tree\n"
+        + inspect.getsource(_HidesFirstEdge)
+        + "edges_of = arrows._arrow_edges\n"
+        "def hiding(*args):\n"
+        "    variables, edges = edges_of(*args)\n"
+        "    return variables, _HidesFirstEdge(edges)\n"
+        "arrows._arrow_edges = hiding\n"
+        "try:\n"
+        "    check_arrow(perfect_tree(2), perfect_tree(2), parse_newick('(,)'), 2)\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    proc = _run_optimized(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("internal error: bad leaf coloring has a copy of the target")
+    assert proc.stdout.startswith("internal error: bad coloring leaves edge")
+    assert proc.stdout.rstrip().endswith("monochromatic")
 
 
 def test_arrows_has_no_assert():
