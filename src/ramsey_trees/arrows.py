@@ -27,6 +27,7 @@ from .embedding import (
     count_copies,
     enumerate_copies,
     induced_subtree,
+    is_copy,
 )
 from .limits import _Value, _require_int, check_enumeration
 from .coloring import Coloring, _least_agreeing, _relabel, is_mono
@@ -530,7 +531,9 @@ def extract_mono_leafcolor(
     blocks, each a copy of iterate(h, level-1). If some block uses fewer
     than level colors, recurse into the leftmost such; otherwise every block
     uses exactly the window's color set, and picking the leftmost leaf of
-    the smallest used color in each block forms a copy of h.
+    the smallest used color in each block forms a copy of h. The answer is
+    re-checked with is_copy and a color check, under python -O too, before
+    it is returned.
     """
     _require_int("iteration count", j)
     if not _is_iterate(host, h, j):
@@ -551,9 +554,8 @@ def extract_mono_leafcolor(
     while True:
         window = colors[lo:hi]
         if level == 1:
-            if len(set(window)) != 1:
-                raise RuntimeError("internal error: block descent ended on a mixed window")
-            return tuple(range(lo, hi)), window[0]
+            picks, cstar = tuple(range(lo, hi)), window[0]
+            break
         block = (hi - lo) // n
         descend = None
         for i in range(n):
@@ -566,11 +568,17 @@ def extract_mono_leafcolor(
             level -= 1
             continue
         cstar = min(set(window))
-        picks = []
-        for i in range(n):
-            base = lo + i * block
-            picks.append(base + colors[base : base + block].index(cstar))
-        return tuple(picks), cstar
+        picks = tuple(
+            lo + i * block + colors[lo + i * block : lo + (i + 1) * block].index(cstar)
+            for i in range(n)
+        )
+        break
+    if not (is_copy(host, picks, h) and all(colors[i] == cstar for i in picks)):
+        raise RuntimeError(
+            f"internal error: block descent returned {list(picks)}, "
+            "not a copy of h in one color"
+        )
+    return picks, cstar
 
 
 class ReductionChain(_Value):
@@ -662,7 +670,9 @@ def extract_mono_k(chain: ReductionChain, chi: Coloring) -> tuple[CopyRef, int]:
     Step i reads bit i-1 of each copy's color directly, building no
     Coloring, finds the least copy of the next tree down inside the current
     region whose copies agree on that bit, and recurses; after all bits are
-    pinned the surviving region's copies agree on the full color.
+    pinned the surviving region's copies agree on the full color. The first
+    step searches the whole top tree (region None), so it walks the host
+    itself; each later one walks it at the positions of the copy before.
     """
     if not iso(chi.host, chain.trees[-1]):
         raise ValueError("coloring host does not match the top tree of the chain")
@@ -670,7 +680,7 @@ def extract_mono_k(chain: ReductionChain, chi: Coloring) -> tuple[CopyRef, int]:
         raise ValueError("coloring pattern does not match the chain pattern")
     if chi.k != chain.k:
         raise ValueError(f"coloring has k = {chi.k}, chain has k = {chain.k}")
-    region: CopyRef = tuple(range(chi.host.leaf_count))
+    region: CopyRef | None = None  # the whole top tree
     for i in range(len(chain.trees) - 1, 0, -1):
         shift = i - 1
         found = _least_agreeing(chi.host, region, chain.trees[i - 1], chi.pattern,
@@ -680,6 +690,8 @@ def extract_mono_k(chain: ReductionChain, chi: Coloring) -> tuple[CopyRef, int]:
                 f"no monochromatic copy at chain step {i}; the chain does not certify this host"
             )
         region = found[0]
+    if region is None:  # a one-tree chain: the top tree is the copy
+        region = tuple(range(chi.host.leaf_count))
     color = is_mono(chi, region)
     if color is None:
         raise RuntimeError("internal error: bitwise descent ended on a mixed region")

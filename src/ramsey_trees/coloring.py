@@ -6,10 +6,12 @@ pattern-copies whose leaves lie inside it share one color; a region with no
 pattern-copies at all counts as monochromatic with sentinel color -1.
 
 find_mono_copy and find_psi_mono return the lexicographically least
-qualifying copy of a target. When the copies to agree are single leaves, one
-pass per leaf value, over the tree the leaves of that value induce, finds it
-(_least_leafwise); otherwise it is the first that the lazy copy stream
-(embedding._copies) offers. Neither lists all copies of the target, so the
+qualifying copy of a target, inside a region if one is given, through the one
+search _least_agreeing. When the copies to agree are single leaves, one pass
+per leaf value, over the tree that the region's leaves of that value induce
+in the host, finds it at their host positions (_least_leafwise); otherwise it
+is the first that the lazy copy stream (embedding._copies) offers on the tree
+the region induces. Neither lists all copies of the target, so the
 enumeration cap counts only the lists the stream builds on the way.
 """
 
@@ -156,51 +158,27 @@ def _relabel(rel: CopyRef):
     return itemgetter(*rel) if len(rel) > 1 else itemgetter(slice(rel[0], rel[0] + 1))
 
 
-def _inside(host: PlaneTree, region: CopyRef | None) -> tuple[PlaneTree, CopyRef | None]:
-    """(the tree a search inside region runs over, the host positions of its
-    leaves or None for the host itself). Inside a region it is the tree
-    region induces, whose copies map to host copies through region, which
-    is increasing and so keeps their order."""
-    if region is None or len(region) == host.leaf_count:
-        # induced_subtree of every leaf is the host itself, so this only
-        # skips the identity relabel and the region's validation
-        return host, None
-    return induced_subtree(host, region), region
-
-
-def _least_within(
-    host: PlaneTree, region: CopyRef | None, target: PlaneTree, accept
-) -> CopyRef | None:
-    """The least copy of target inside region (the whole host if None) that
-    passes accept, in host positions: the first the copy stream offers, so
-    accept sees the copies before it in order, once each."""
-    tree, leaves = _inside(host, region)
-    inside = _copies(tree, target)
-    if leaves is not None:
-        inside = (_relabel(c)(leaves) for c in inside)
-    return next(filter(accept, inside), None)
-
-
 def _least_leafwise(
-    tree: PlaneTree, target: PlaneTree, values: list
+    host: PlaneTree, target: PlaneTree, leaves, value_of
 ) -> tuple[CopyRef, object] | None:
-    """(least copy of target in tree whose leaves all take one value, that
-    value), None if no copy qualifies; values[i] is the value of leaf i.
+    """(least copy of target in host whose leaves are all in leaves and
+    take one value, that value), None if no copy qualifies; leaves are host
+    positions in increasing order, and value_of((x,)) is the value of leaf x.
 
     One pass per distinct value held by at least as many leaves as target
     has, in post-order from an explicit stack, over the tree those leaves
-    induce: a vertex is visited only where they part, as in
-    induced_subtree, and a path where they do not part is skipped. A vertex
-    v gets, for each shape s of _target_splits(target) with at most as many
-    leaves as v holds of the value, the least copy least(s, v) of s among
-    them, or None. That is the smaller of least(s, v.left) and
-    least(a, v.left) + least(b, v.right), a and b the shapes of s's
-    children, where they exist; if neither does, it is least(s, v.right).
-    Every left position comes before every right one, so concatenation
-    keeps the order. Values are taken in the order of their first leaf, and
-    the passes stop once the best copy so far starts before the next
-    value's first leaf. The answer is re-checked, under python -O too,
-    before it is returned.
+    induce in host: a vertex is visited only where they part, as in
+    induced_subtree, and a path where they do not part is skipped, so the
+    copies come out in host positions. A vertex v gets, for each shape s of
+    _target_splits(target) with at most as many leaves as v holds of the
+    value, the least copy least(s, v) of s among them, or None. That is the
+    smaller of least(s, v.left) and least(a, v.left) + least(b, v.right), a
+    and b the shapes of s's children, where they exist; if neither does, it
+    is least(s, v.right). Every left position comes before every right one,
+    so concatenation keeps the order. Values are taken in the order of
+    their first leaf, and the passes stop once the best copy so far starts
+    before the next value's first leaf. The answer is re-checked, under
+    python -O too, before it is returned.
     """
     splits, whole = _target_splits(target)
     size = [1] * (len(splits) + 1)
@@ -211,8 +189,8 @@ def _least_leafwise(
     plans: dict[int, list[tuple[int, int, int]]] = {}
     rest = [None] * len(splits)
     groups: dict = {}
-    for i, x in enumerate(values):
-        groups.setdefault(x, []).append(i)
+    for x in leaves:
+        groups.setdefault(value_of((x,)), []).append(x)
     best = None
     for value, pos in groups.items():
         if best is not None and best[0][0] < pos[0]:
@@ -222,7 +200,7 @@ def _least_leafwise(
         out: list[list] = []
         # (vertex, its first position, i, j) with pos[i:j] inside it, or
         # the number of those positions once both children's lists are on out
-        stack: list = [(tree, 0, 0, len(pos))]
+        stack: list = [(host, 0, 0, len(pos))]
         while stack:
             item = stack.pop()
             if item.__class__ is int:
@@ -253,37 +231,46 @@ def _least_leafwise(
         found = out[0][whole]
         if found is not None and (best is None or found < best[0]):
             best = found, value
-    if best is not None and not (
-        is_copy(tree, best[0], target) and all(values[i] == best[1] for i in best[0])
-    ):
-        raise RuntimeError(
-            f"internal error: leaf pass returned {list(best[0])}, "
-            "not a copy of the target in one value"
-        )
+    if best is not None:
+        copy, value = best
+        pos = groups[value]
+        # each leaf of copy must be a position of value: the first position
+        # not below it, found by bisect, is that leaf
+        if not (
+            is_copy(host, copy, target)
+            and all(pos[bisect_left(pos, x, 0, len(pos) - 1)] == x for x in copy)
+        ):
+            raise RuntimeError(
+                f"internal error: leaf pass returned {list(copy)}, "
+                "not a copy of the target in one value"
+            )
     return best
 
 
 def _least_agreeing(
     host: PlaneTree, region: CopyRef | None, target: PlaneTree, pattern: PlaneTree, value
 ) -> tuple[CopyRef, int] | None:
-    """(least copy of target inside region whose copies of pattern all take
-    one value(), that value or -1 if target holds no copy of pattern), None
-    if no copy qualifies.
+    """(least copy of target inside region (the whole host if None) whose
+    copies of pattern all take one value(), that value or -1 if target
+    holds no copy of pattern), None if no copy qualifies. This is the one
+    search inside a region, and its copies are in host positions.
 
     For a single-leaf pattern a copy qualifies when its leaves all take one
-    value: value() is read once per leaf of region and _least_leafwise
-    answers in one pass per value. Otherwise the candidates come from the
-    copy stream, and a candidate's copies of pattern are read through one
-    _relabel getter per copy of the template enumerate_copies(target,
-    pattern), built at the first candidate: a search that meets no copy of
-    target never enumerates the template."""
+    value: _least_leafwise reads value() once per leaf of region and walks
+    the host at region's own positions. Otherwise the candidates are the
+    copies of target in the tree region induces, mapped to host positions
+    through region, which is increasing and so keeps their order; the
+    search stops at the first that qualifies. A candidate's copies of
+    pattern are read through one _relabel getter per copy of the template
+    enumerate_copies(target, pattern), built at the first candidate: a
+    search that meets no copy of target never enumerates the template."""
     if pattern.left is None:
-        tree, leaves = _inside(host, region)
-        values = [value((x,)) for x in leaves or range(host.leaf_count)]
-        found = _least_leafwise(tree, target, values)
-        if found is None or leaves is None:
-            return found
-        return _relabel(found[0])(leaves), found[1]
+        leaves = range(host.leaf_count) if region is None else region
+        return _least_leafwise(host, target, leaves, value)
+    if region is None:
+        inside = _copies(host, target)
+    else:
+        inside = (_relabel(c)(region) for c in _copies(induced_subtree(host, region), target))
     getters: list | None = None
     shared = -1
 
@@ -301,7 +288,7 @@ def _least_agreeing(
         return True
 
     # the stream stops at the first accepted candidate, so shared is its value
-    found = _least_within(host, region, target, agrees)
+    found = next(filter(agrees, inside), None)
     return None if found is None else (found, shared)
 
 

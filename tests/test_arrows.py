@@ -290,6 +290,41 @@ def test_search_arrow_pinned_path_on_p5():
     assert digest.hexdigest() == "4891e465d41fef0818fc10a02509eebd1eeb3e999b75fc600d3b1ceebbcc3023"
 
 
+def test_search_arrow_pinned_path_when_unknown():
+    # The digests above pin a query that ends unknown by its node count
+    # alone. Here its path is pinned too: (nodes, depth d, the colors of
+    # depths 0..d-1) at every poll of the search and where the budget runs
+    # out, read from the engine's frame. P4 -> (P2)^cherry_2 spends the
+    # lookup allowance after about 10k nodes, so its tail pins the lookups
+    # that are scanned anew and not stored.
+    p4, p5, p2, mirror = perfect_tree(4), perfect_tree(5), perfect_tree(2), parse_newick("(,(,))")
+    queries = [(p4, target, 2, 20_000) for target in (CAT3, mirror, p2)]
+    queries += [(p5, CAT3, 2, 20_000), (p5, CAT3, 3, 20_000), (p5, mirror, 2, 20_000),
+                (p5, p2, 2, 10_000), (p5, p2, 3, 10_000)]
+    digest = hashlib.sha256()
+    points = 0
+
+    def record(nodes, frame):
+        nonlocal points
+        state = frame.f_locals
+        d = state.get("d")  # unset during construction
+        digest.update(repr((nodes, d, None if d is None else tuple(state["color_of"][:d]))).encode())
+        points += 1
+
+    for host, target, k, max_nodes in queries:
+        with pytest.raises(arrows._OutOfBudget) as stop:
+            arrows._search_arrow(host, target, CHERRY, k, max_nodes,
+                                 lambda nodes: record(nodes, sys._getframe(1)))
+        tb = stop.tb
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code is arrows._search_arrow.__code__
+        assert stop.value.nodes == max_nodes
+        record(max_nodes, tb.tb_frame)
+    assert points == 192
+    assert digest.hexdigest() == "1214fd0d9fe10e87c6fe46ebc71555b866d9ba0636e37084886b49149cbd3b62"
+
+
 def test_search_answers_do_not_depend_on_the_lookup_allowance(monkeypatch):
     # With no allowance every lookup is scanned anew and none is stored; the
     # 42 queries of the P4 digest and the bench's must get the same answers.
@@ -779,6 +814,41 @@ def test_extract_mono_leafcolor_exhaustive(h, j):
         copy, color = extract_mono_leafcolor(h, j, host, chi)
         assert is_copy(host, copy, h)
         assert all(colors[i] == color for i in copy)
+
+
+def _mirrored_last_block():
+    """iterate(CAT3, 2) with its last block mirrored, and a leaf coloring
+    whose block descent ends in that block."""
+    host = node(node(CAT3, CAT3), parse_newick("(,(,))"))
+    return host, Coloring.from_leaf_colors(host, [0, 1, 0, 1, 0, 1, 1, 1, 1], 2)
+
+
+def test_extract_mono_leafcolor_rechecks_its_answer(monkeypatch):
+    # With the shape check accepting any host, the descent returns the
+    # mirrored block's leaves; the re-check finds they are not a copy of h.
+    monkeypatch.setattr(arrows, "_is_iterate", lambda t, h, j: True)
+    host, chi = _mirrored_last_block()
+    with pytest.raises(RuntimeError, match=r"block descent returned \[6, 7, 8\], not a copy of h"):
+        extract_mono_leafcolor(CAT3, 2, host, chi)
+
+
+def test_extract_mono_leafcolor_recheck_runs_under_optimize():
+    # python -O strips assert statements; the re-check must still run.
+    script = (
+        "from ramsey_trees import arrows, extract_mono_leafcolor, node, parse_newick\n"
+        "from ramsey_trees import Coloring\n"
+        + inspect.getsource(_mirrored_last_block)
+        + "CAT3 = parse_newick('((,),)')\n"
+        "arrows._is_iterate = lambda t, h, j: True\n"
+        "host, chi = _mirrored_last_block()\n"
+        "try:\n"
+        "    extract_mono_leafcolor(CAT3, 2, host, chi)\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("internal error: block descent returned [6, 7, 8]")
 
 
 def test_reduction_chain_build_frozen():

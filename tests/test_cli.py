@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,23 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out, err = capsys.readouterr()
     return rc, out, err
+
+
+def test_readme_cli_examples_print_what_they_show(capsys):
+    # Every line of README's CLI block whose comment shows an output, a
+    # tree or a list, must print exactly that.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        comment = comment.strip()
+        if comment[:1] in ("(", "["):
+            program, *argv = shlex.split(command)
+            assert program == "ramsey-trees", line
+            assert run(capsys, *argv)[:2] == (0, comment + "\n"), line
+            shown.append(argv[0])
+    assert shown == ["gen", "copies", "induce"]
 
 
 def test_gen_perfect(capsys):

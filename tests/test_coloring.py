@@ -226,7 +226,7 @@ def test_leaf_pass_matches_brute_force():
             region = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
             for values in (colors, pairs):
                 for target in targets:
-                    for reg in (None, region):
+                    for reg in (None, region, tuple(range(n))):
                         want = _brute_least_leafwise(host, reg, target, values)
                         got = _least_agreeing(host, reg, target, leaf(), lambda c: values[c[0]])
                         assert got == want, (host, target, values, reg)
