@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from itertools import chain, combinations
-from operator import attrgetter
+from itertools import chain, combinations, product, repeat, starmap
+from operator import add, attrgetter
 
 from .errors import FormatError
 from .limits import check_enumeration
@@ -248,7 +248,7 @@ def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
 
 
 def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
-    """Lists of the copies of an internal p in t, in t's positions and in
+    """Batches of the copies of an internal p in t, in t's positions and in
     lexicographic order; a pair (w, r) instead when it needs the copies of r
     in a subtree w that lists, keyed (id(w), id(r)), lacks. counts is the
     _count_table of a host and a pattern that hold t and p, or None when
@@ -265,16 +265,28 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     holds a leaf part; whether it holds another is one lookup in the count
     table, which reads 0 for a part that no copy of its pattern can use. So
     an ancestor is tried at a level only if the levels above can still be
-    filled, and a part is listed only when the walk reaches it. A batch is
-    the copies with one prefix and one part at the last level.
+    filled, and a part is listed only when the walk reaches it.
+
+    A batch is a list of the copies with one prefix and one part at the
+    last level, unless r_L is a leaf and L >= 2. Then the last leaf takes
+    every position from the end of u_{L-1} to the end of t, one range, as
+    each later leaf parts from a above u_{L-1}, with a on the left. So a
+    batch is a block: the copies with one prefix and one u_{L-1}, the heads
+    (a prefix and one part of r_{L-1}) times that range. It comes as the
+    block's size, then the first head's row as a lazy map, then, built
+    only when that row is read, one product of the other heads and the
+    range, whose pools hold at most the range and the part's list.
     """
-    last = t.leaf_count - p.leaf_count  # the last leaf a copy can start at
+    n = t.leaf_count
+    last = n - p.leaf_count  # the last leaf a copy can start at
     rights = []
     while not p.is_leaf:
         rights.append(p.right)
         p = p.left
     rights.reverse()
     top = len(rights) - 1
+    # the level that ends a batch's prefix: top for lists, top - 1 for blocks
+    stop = top - 1 if top and rights[top].is_leaf else top
     table, slot = counts or (None, None)
     cols = [1 if r.left is None else slot[id(r)] for r in rights]
     # path: (right child, its first position) of each ancestor holding the
@@ -334,11 +346,27 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
                     frames.append((j, pre, q - 1))
                 if not holds(j, q):
                     continue
-                col = parts[j][q] or (yield from fill(j, q))
-                if j == top:
+                if j != stop:
+                    col = parts[j][q] or (yield from fill(j, q))
+                    frames += [(j + 1, pre + c, q - 1) for c in reversed(col)]
+                elif stop == top:
+                    col = parts[j][q] or (yield from fill(j, q))
                     yield [pre + c for c in col]
                 else:
-                    frames += [(j + 1, pre + c, q - 1) for c in reversed(col)]
+                    w, off = path[q]
+                    end = off + w.leaf_count
+                    if cols[j] == 1:  # the heads are pre + (x,), off <= x < end
+                        yield (end - off) * (n - end)
+                        yield map(add, repeat(pre + (off,)), zip(range(end, n)))
+                        if end - off > 1:
+                            yield product(*zip(pre), range(off + 1, end), range(end, n))
+                    else:
+                        col = parts[j][q] or (yield from fill(j, q))
+                        yield len(col) * (n - end)
+                        yield map(add, repeat(pre + col[0]), zip(range(end, n)))
+                        if len(col) > 1:
+                            heads = map(add, repeat(pre), col[1:])
+                            yield starmap(add, product(heads, zip(range(end, n))))
 
 
 def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
@@ -352,8 +380,10 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     the walk asks for are built by further walks, run from an explicit
     stack, so no Python recursion grows with the host or the pattern; they
     are memoized on object identity, so shared subtrees are listed once,
-    and their running total is charged to the enumeration cap. The copies
-    yielded are not charged.
+    and their running total is charged to the enumeration cap: a list batch
+    by its length, a block by the size the walk gives first, both before
+    they are listed. The copies yielded are not charged; the stream
+    chains the walk's batches, so a block's rows are read at C speed.
     """
     if pattern.leaf_count <= 2:
         return combinations(range(host.leaf_count), pattern.leaf_count)
@@ -370,14 +400,20 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
         while frames:
             walk, key, out = frames[-1]
             for item in walk:
-                if item.__class__ is tuple:  # a missing list: build it first
+                cls = item.__class__
+                if cls is tuple:  # a missing list: build it first
                     frames.append((_walk(*item, lists, counts), (id(item[0]), id(item[1])), []))
                     break
-                if out is None:
+                if cls is int:  # the size of the block that follows
+                    if out is not None:
+                        charged += item
+                        check_enumeration(charged)
+                elif out is None:
                     yield item
                 else:
-                    charged += len(item)
-                    check_enumeration(charged)
+                    if cls is list:
+                        charged += len(item)
+                        check_enumeration(charged)
                     out += item
             else:
                 frames.pop()

@@ -169,7 +169,7 @@ def _check_copies() -> tuple[bool, str]:
     pairs = 0
     for hn in range(1, 7):
         for host in all_trees(hn):
-            for pn in range(1, 4):
+            for pn in range(1, 5):
                 for pattern in all_trees(pn):
                     expected = brute_copies(host, pattern)
                     got = enumerate_copies(host, pattern)

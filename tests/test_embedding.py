@@ -27,7 +27,7 @@ from ramsey_trees import (
     to_newick,
     validate_copy,
 )
-from ramsey_trees.embedding import _copies
+from ramsey_trees.embedding import _copies, _count_table
 from helpers import brute_copies, naive_induced_shape, naive_shape, perfect_induced_shape
 
 trees = st.recursive(
@@ -192,8 +192,9 @@ def test_least_copy_matches_subset_oracle():
     rng = random.Random(4)
     hosts = [t for n in range(1, 8) for t in all_trees(n)] + [perfect_tree(3)]
     targets = [t for n in range(1, 5) for t in all_trees(n)]
+    tailed = [node(t, leaf()) for t in all_trees(4)]  # a leaf as the root's right child
     for host in hosts:
-        for target in targets:
+        for target in targets + (tailed if host.leaf_count <= 6 else []):
             copies = brute_copies(host, target)
             for share in (1.0, 0.0, 0.33, 0.67):
                 passed = {c for c in copies if rng.random() < share}
@@ -250,6 +251,69 @@ def test_stream_charges_only_the_lists_it_builds():
     assert sum(1 for _ in _copies(host, parse_newick("((,),)"))) == 20832
     set_max_enumeration(651)
     assert sum(1 for _ in _copies(host, pattern)) == 278256
+
+
+def test_stream_charges_a_block_before_listing_it():
+    # In P6, the copies of ((,),((,),)) need the caterpillars of the right
+    # children of heights 2-5, one list per height: 2 + 28 + 280 + 2480 =
+    # 2790 items, listed a block at a time.
+    host, pattern = perfect_tree(6), parse_newick("((,),((,),))")
+    set_max_enumeration(2789)
+    with pytest.raises(ResourceLimitError):
+        list(_copies(host, pattern))
+    set_max_enumeration(2790)
+    assert sum(1 for _ in _copies(host, pattern)) == count_copies(host, pattern)
+    # The first list asked for here starts with the block (0, 1, y), 2 <= y
+    # < 4098, of 4096 caterpillars: over the cap, it is refused before any
+    # of it is listed.
+    host = node(leaf(), node(perfect_tree(1), perfect_tree(12)))
+    pattern = parse_newick("(,((,),))")
+    counts = _count_table(host, pattern)
+    set_max_enumeration(1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="4096 items"):
+            next(_copies(host, pattern, counts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000, peak
+
+
+def test_first_copy_of_a_leaf_tailed_pattern_is_cheap():
+    # A block's first row is lazy, and the product of its other rows, whose
+    # pools hold a range of positions, is built only once that row is read:
+    # taking the whole block as one product holds 2.6 MB and 366 KB here.
+    for height, text, first in ((16, "((,),)", (0, 1, 2)), (12, "((,(,)),)", (0, 2, 3, 4))):
+        host, pattern = perfect_tree(height), parse_newick(text)
+        tracemalloc.start()
+        try:
+            assert next(_copies(host, pattern)) == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000, (height, text, peak)
+
+
+# patterns of 3-5 leaves whose root has a leaf as its right child, and of
+# at most 6 leaves whose right part is one of them
+TAILED = [node(p, leaf()) for m in range(2, 5) for p in all_trees(m)]
+RIGHT_TAILED = [node(p, r) for r in TAILED for m in range(1, 7 - r.leaf_count) for p in all_trees(m)]
+
+
+def test_copies_of_leaf_tailed_patterns_match_bruteforce():
+    hosts = [t for n in range(1, 8) for t in all_trees(n)] + [perfect_tree(3), perfect_tree(4)]
+    for host in hosts:
+        for pattern in TAILED + RIGHT_TAILED:
+            assert list(_copies(host, pattern)) == brute_copies(host, pattern), (host, pattern)
+    # Every m-subset of a comb's leaves induces the m-leaf comb of its side;
+    # trying each subset of 40 leaves would take minutes.
+    for side in ("left", "right"):
+        host = _comb(40, side)
+        for pattern in TAILED + RIGHT_TAILED:
+            m = pattern.leaf_count
+            want = list(itertools.combinations(range(40), m)) if iso(pattern, _comb(m, side)) else []
+            assert list(_copies(host, pattern)) == want, (side, pattern)
 
 
 # The count table: one vector of counts per distinct host vertex.
