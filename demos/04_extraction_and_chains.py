@@ -17,13 +17,10 @@ from ramsey_trees import (
     build_reduction_chain,
     extract_mono_k,
     extract_mono_leafcolor,
-    find_psi_mono,
     is_mono,
     iterate,
     leaf,
     parse_newick,
-    perfect_tree,
-    psi_map,
     to_newick,
 )
 
@@ -48,19 +45,6 @@ for colors in itertools.product(range(2), repeat=big.leaf_count):
     c, col = extract_mono_leafcolor(cat3, 2, big, Coloring.from_leaf_colors(big, list(colors), 2))
     assert all(colors[i] == col for i in c)
 print(f"all {2**big.leaf_count} colorings of iterate(cat3,2): extractor never fails")
-
-# Fusion view of a coloring: fix disjoint root-split regions a and b; each
-# copy of the pattern's left child inside a induces a map "partner copy ->
-# color" over b. find_psi_mono looks for a target-copy in a whose child
-# copies all induce the same map.
-t2 = perfect_tree(2)
-chi = Coloring.uniform(t2, cherry, 2, 0)
-images = psi_map(chi, (0, 1), (2, 3))
-print()
-print("fusion images of a uniform cherry-coloring:",
-      {k: v.assignment for k, v in images.items()})
-print("agreeing cherry in the left block:",
-      find_psi_mono(chi, (0, 1), cherry, "left", (2, 3)))
 
 # For k colors, ceil(log2 k) two-color steps suffice. build_reduction_chain
 # certifies each link T(i) -> (T(i-1))^pattern_2 by search; extract_mono_k

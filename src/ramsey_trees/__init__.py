@@ -71,7 +71,7 @@ _SUBMODULE = {
         "triples",
     ),
     **dict.fromkeys(
-        ("Coloring", "find_mono_copy", "find_psi_mono", "is_mono", "psi_map"),
+        ("Coloring", "find_mono_copy", "is_mono"),
         "coloring",
     ),
     **dict.fromkeys(

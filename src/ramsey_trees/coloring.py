@@ -5,11 +5,11 @@ A Coloring assigns one of k colors to every copy of a pattern inside a host
 pattern-copies whose leaves lie inside it share one color; a region with no
 pattern-copies at all counts as monochromatic with sentinel color -1.
 
-find_mono_copy and find_psi_mono return the lexicographically least
-qualifying copy of a target, inside a region if one is given, through the one
-search _least_agreeing. When the copies to agree are single leaves, one pass
-per leaf value, over the tree that the region's leaves of that value induce
-in the host, finds it at their host positions (_least_leafwise); otherwise it
+find_mono_copy returns the lexicographically least monochromatic copy of a
+target, inside a region if one is given, through the one search
+_least_agreeing. When the copies to agree are single leaves, one pass per
+leaf value, over the tree that the region's leaves of that value induce in
+the host, finds it at their host positions (_least_leafwise); otherwise it
 is the first that the lazy copy stream (embedding._copies) offers on the tree
 the region induces. Neither lists all copies of the target, so the
 enumeration cap counts only the lists the stream builds on the way.
@@ -312,90 +312,3 @@ def find_mono_copy(
     if region is not None:
         region = validate_copy(chi.host, region)
     return _least_agreeing(chi.host, region, target, chi.pattern, chi.assignment.__getitem__)
-
-
-def _root_split_check(host: PlaneTree, a: CopyRef, b: CopyRef) -> None:
-    """Require a common vertex whose left subtree spans a and right spans b:
-    the vertex where a[0] and b[-1] part must split them between a and b."""
-    if a[-1] < b[0]:
-        v, lo, _ = _parting(host, 0, a[0], b[-1])
-        if a[-1] < lo + v.left.leaf_count <= b[0]:
-            return
-    raise ValueError("not root-split")
-
-
-def _fusion(
-    chi: Coloring, region: CopyRef, partner: CopyRef, side: str
-) -> tuple[PlaneTree, PlaneTree, list[CopyRef], object]:
-    """(sub-host induced by partner, the other pattern child, its copies in
-    that sub-host, image). image maps a copy of one pattern child inside
-    region, in host positions, to the colors of its joins with those
-    partner-side copies, a tuple in their order; images are computed on
-    request and memoized."""
-    if chi.pattern.is_leaf:
-        raise ValueError("pattern must have at least two leaves to split at the root")
-    if side == "left":
-        _root_split_check(chi.host, region, partner)
-        other_pattern = chi.pattern.right
-    else:
-        _root_split_check(chi.host, partner, region)
-        other_pattern = chi.pattern.left
-    sub_partner = induced_subtree(chi.host, partner)
-    partner_copies = enumerate_copies(sub_partner, other_pattern)
-    joins = [_relabel(pc)(partner) for pc in partner_copies]
-    assignment = chi.assignment
-    memo: dict[CopyRef, tuple[int, ...]] = {}
-
-    def image(own: CopyRef) -> tuple[int, ...]:
-        img = memo.get(own)
-        if img is None:
-            if side == "left":
-                img = tuple([assignment[own + pc] for pc in joins])
-            else:
-                img = tuple([assignment[pc + own] for pc in joins])
-            memo[own] = img
-        return img
-
-    return sub_partner, other_pattern, partner_copies, image
-
-
-def psi_map(chi: Coloring, a, b) -> dict[CopyRef, Coloring]:
-    """Fusion images: for each copy P1 of pattern's left child inside a, the
-    coloring P2 -> chi(P1 joined with P2) over the sub-host induced by b.
-
-    a and b must be root-split in chi.host (a under the left subtree and b
-    under the right subtree of a common vertex), so every join is a copy of
-    the full pattern. Keys are in host coordinates; each image is a Coloring
-    over induced_subtree(chi.host, b), whose leaf i is host leaf b[i].
-    """
-    a = validate_copy(chi.host, a)
-    b = validate_copy(chi.host, b)
-    sub_b, other_pattern, b_copies, image = _fusion(chi, a, b, "left")
-    out: dict[CopyRef, Coloring] = {}
-    for own in enumerate_copies(induced_subtree(chi.host, a), chi.pattern.left):
-        own = _relabel(own)(a)
-        out[own] = Coloring(sub_b, other_pattern, chi.k, dict(zip(b_copies, image(own))))
-    return out
-
-
-def find_psi_mono(
-    chi: Coloring, region, target: PlaneTree, side: str, partner
-) -> CopyRef | None:
-    """Lexicographically least copy of target inside region all of whose
-    pattern-child copies (left child if side='left', else right) have equal
-    fusion images against partner; None if no copy qualifies.
-
-    A child-copy's fusion image is a tuple of colors in partner-copy order.
-    When the pattern child is a single leaf, the image of every leaf in
-    region is computed first and the leaf pass of find_mono_copy answers;
-    otherwise the candidates come from the copy stream, as in
-    find_mono_copy, and an image is computed only when a candidate holds
-    its child-copy."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    region = validate_copy(chi.host, region)
-    partner = validate_copy(chi.host, partner)
-    image = _fusion(chi, region, partner, side)[3]
-    own_pattern = chi.pattern.left if side == "left" else chi.pattern.right
-    found = _least_agreeing(chi.host, region, target, own_pattern, image)
-    return None if found is None else found[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os.path
 
-from ramsey_trees import PlaneTree
+from ramsey_trees import PlaneTree, node
 from ramsey_trees.selftest import (  # noqa: F401
     brute_arrow_edges,
     brute_arrow_status,
@@ -65,26 +65,7 @@ def brute_structure(t: PlaneTree) -> tuple[tuple[str, ...], frozenset]:
     return idents, triples
 
 
-def brute_psi_mono(chi, region, target: PlaneTree, side: str, partner):
-    """Least copy of target inside region whose pattern-child copies all have
-    the same fusion image against partner, by filtering every image; the
-    image of a child-copy maps each partner-side copy to the color of the
-    join. None if no copy qualifies."""
-    region_set, partner_set = set(region), set(partner)
-    own, other = chi.pattern.left, chi.pattern.right
-    if side != "left":
-        own, other = other, own
-    partner_copies = [
-        c for c in brute_copies(chi.host, other) if partner_set.issuperset(c)
-    ]
-    images = {}
-    for oc in brute_copies(chi.host, own):
-        if region_set.issuperset(oc):
-            joins = [oc + pc if side == "left" else pc + oc for pc in partner_copies]
-            images[oc] = tuple(chi.assignment[j] for j in joins)
-    for cand in brute_copies(chi.host, target):
-        if region_set.issuperset(cand):
-            inner = {img for oc, img in images.items() if set(cand).issuperset(oc)}
-            if len(inner) <= 1:
-                return cand
-    return None
+def mirror(t: PlaneTree) -> PlaneTree:
+    """t with the children of every vertex swapped, leaf labels kept: leaf i
+    of t is leaf n - 1 - i of mirror(t)."""
+    return t if t.is_leaf else node(mirror(t.right), mirror(t.left))

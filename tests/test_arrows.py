@@ -48,7 +48,7 @@ import ramsey_trees
 from ramsey_trees import arrows
 from ramsey_trees.arrows import _arrow_edges
 from ramsey_trees.coloring import _least_agreeing
-from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled
+from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled, mirror
 
 CHERRY = parse_newick("(,)")
 CAT3 = parse_newick("((,),)")
@@ -152,6 +152,64 @@ def test_check_arrow_matches_bruteforce():
                     assert got.status == expected, (host, target, pattern, k)
                     if got.status == "fails":
                         assert check_witness(host, target, got.witness)
+
+
+def _random_host(rng: random.Random, n: int):
+    if n == 1:
+        return leaf()
+    i = rng.randrange(1, n)
+    return node(_random_host(rng, i), _random_host(rng, n - i))
+
+
+def test_arrow_verdicts_agree_with_the_mirror():
+    # Leaf i of T is leaf n-1-i of mirror(T), so T -> (H)^P_k holds iff
+    # mirror(T) -> (mirror H)^(mirror P)_k does, and a bad coloring carries
+    # over copy by copy. Beyond the brute-force universe this is the oracle.
+    # The P3 rows must stay: a constraint builder that drops the last member
+    # of every edge of 3 or more was caught there and not on larger hosts.
+    rng = random.Random(8)
+    small = [t for n in (3, 4) for t in all_trees(n)]
+    queries = [
+        (host, target, pattern, k, 5000)
+        for host in (perfect_tree(3), perfect_tree(4))
+        for target in small
+        for pattern in [t for n in (2, 3) for t in all_trees(n)]
+        for k in (2, 3)
+    ]
+    queries += [
+        (perfect_tree(5), parse_newick(target), CHERRY, k, 20_000)
+        for target in ("((,),)", "(,(,))", "((,(,)),)", "(,((,),))")
+        for k in (2, 3)
+    ]
+    for _ in range(30):
+        host = _random_host(rng, rng.randrange(8, 65))
+        queries.append((host, rng.choice(small), leaf(), rng.choice((2, 3)), 5000))
+    # perfect hosts are their own mirrors, so many queries meet twice
+    verdicts: dict = {}
+
+    def verdict(*query):
+        if query not in verdicts:
+            budget = SearchBudget(max_nodes=query[4])
+            verdicts[query] = check_arrow(*query[:4], budget=budget)
+        return verdicts[query]
+
+    witnesses = 0
+    for host, target, pattern, k, nodes in queries:
+        sides = [(host, target, pattern), (mirror(host), mirror(target), mirror(pattern))]
+        got = [verdict(*side, k, nodes) for side in sides]
+        statuses = [v.status for v in got]
+        assert "unknown" in statuses or statuses[0] == statuses[1], (sides, k, statuses)
+        for v, (h, t, p) in zip(got, reversed(sides)):
+            if v.status == "fails":
+                n = h.leaf_count
+                flipped = {
+                    tuple(sorted(n - 1 - i for i in c)): col
+                    for c, col in v.witness.assignment.items()
+                }
+                chi = Coloring(h, p, k, flipped)
+                assert all(is_mono(chi, hc) is None for hc in enumerate_copies(h, t)), (h, t, p, k)
+                witnesses += 1
+    assert witnesses >= 100
 
 
 def test_check_arrow_budget_exhaustion():

@@ -16,20 +16,18 @@ from ramsey_trees import (
     check_arrow,
     enumerate_copies,
     find_mono_copy,
-    find_psi_mono,
     is_copy,
     is_mono,
     leaf,
     node,
     parse_newick,
     perfect_tree,
-    psi_map,
     set_max_enumeration,
 )
 import ramsey_trees
 from ramsey_trees import coloring
 from ramsey_trees.coloring import _least_agreeing
-from helpers import brute_copies, brute_psi_mono
+from helpers import brute_copies
 
 CHERRY = parse_newick("(,)")
 CAT3 = parse_newick("((,),)")
@@ -184,26 +182,6 @@ def test_find_mono_copy_matches_scan_oracle():
                         assert find_mono_copy(chi, target, region=reg) == expected
 
 
-def test_find_psi_mono_matches_image_filter_oracle():
-    rng = random.Random(1017)
-    hosts = [t for n in range(2, 6) for t in all_trees(n)] + [perfect_tree(3), perfect_tree(4)]
-    targets = [t for n in range(1, 5) for t in all_trees(n)]
-    patterns = [t for n in range(2, 4) for t in all_trees(n)]
-    for host in hosts:
-        nl = host.left.leaf_count
-        left, right = range(nl), range(nl, host.leaf_count)
-        for pattern in patterns:
-            chi = _random_coloring(rng, host, pattern, 2)
-            for _ in range(2):
-                a = tuple(sorted(rng.sample(left, rng.randrange(1, len(left) + 1))))
-                b = tuple(sorted(rng.sample(right, rng.randrange(1, len(right) + 1))))
-                for target in targets:
-                    for side, region, partner in (("left", a, b), ("right", b, a)):
-                        expected = brute_psi_mono(chi, region, target, side, partner)
-                        got = find_psi_mono(chi, region, target, side, partner)
-                        assert got == expected, (host, pattern, target, side, region, partner)
-
-
 def _brute_least_leafwise(host, region, target, values):
     for cand in brute_copies(host, target):
         if (region is None or set(region).issuperset(cand)) and len({values[i] for i in cand}) == 1:
@@ -213,8 +191,8 @@ def _brute_least_leafwise(host, region, target, values):
 
 def test_leaf_pass_matches_brute_force():
     # Every host of <= 7 leaves and target of <= 4 leaves, k <= 3, with and
-    # without a region; the values are colors, or pairs of them as fusion
-    # images are tuples of colors.
+    # without a region; the values are colors, or pairs of them, as the pass
+    # accepts any hashable value.
     rng = random.Random(2023)
     targets = [t for n in range(1, 5) for t in all_trees(n)]
     found = 0
@@ -289,10 +267,6 @@ def test_finders_find_nothing_under_bad_colorings():
         for region in (None, range(n), range(1, n), range(0, n, 2)):
             assert find_mono_copy(v.witness, target, region=region) is None
             assert _scan_mono(v.witness, target, None if region is None else tuple(region)) is None
-    chi = check_arrow(perfect_tree(3), perfect_tree(2), CHERRY, 2).witness
-    for side, region, partner in (("left", (0, 1, 2, 3), (4, 5, 6, 7)), ("right", (4, 5, 6, 7), (0, 1, 2, 3))):
-        assert find_psi_mono(chi, region, perfect_tree(2), side, partner) is None
-        assert brute_psi_mono(chi, region, perfect_tree(2), side, partner) is None
 
 
 def test_find_mono_copy_on_deep_host():
@@ -356,63 +330,6 @@ def test_find_mono_copy_under_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_copies(perfect_tree(5), perfect_tree(2))
     assert find_mono_copy(chi, perfect_tree(2)) == uncapped
-
-
-def test_psi_map_frozen_example():
-    t2 = perfect_tree(2)
-    assignment = dict(Coloring.uniform(t2, CHERRY, 2, 0).assignment)
-    assignment[(0, 2)] = 1
-    chi = Coloring(t2, CHERRY, 2, assignment)
-    images = psi_map(chi, (0, 1), (2, 3))
-    assert set(images) == {(0,), (1,)}
-    sub = images[(0,)]
-    assert sub.host == CHERRY and sub.pattern == leaf()
-    # Sub-host leaf j stands for host leaf b[j] = 2+j.
-    assert images[(0,)].assignment == {(0,): 1, (1,): 0}
-    assert images[(1,)].assignment == {(0,): 0, (1,): 0}
-    assert images[(0,)] != images[(1,)]
-
-
-def test_psi_map_requires_root_split():
-    t2 = perfect_tree(2)
-    chi = Coloring.uniform(t2, CHERRY, 2, 0)
-    for a, b in (((0, 2), (3,)), ((2, 3), (0, 1)), ((0, 1), (1, 2))):
-        with pytest.raises(ValueError, match="not root-split"):
-            psi_map(chi, a, b)
-    # Split vertex need not be the root of the host.
-    assert psi_map(chi, (0,), (1,)) == {
-        (0,): Coloring(leaf(), leaf(), 2, {(0,): 0})
-    }
-
-
-def test_psi_map_rejects_leaf_pattern():
-    chi = leafchi([0, 1, 0, 1])
-    with pytest.raises(ValueError, match="at least two leaves"):
-        psi_map(chi, (0, 1), (2, 3))
-
-
-def test_find_psi_mono():
-    t2 = perfect_tree(2)
-    uniform = Coloring.uniform(t2, CHERRY, 2, 0)
-    assert find_psi_mono(uniform, (0, 1), CHERRY, "left", (2, 3)) == (0, 1)
-    assert find_psi_mono(uniform, (2, 3), CHERRY, "right", (0, 1)) == (2, 3)
-    broken = dict(uniform.assignment)
-    broken[(0, 2)] = 1
-    disagree = Coloring(t2, CHERRY, 2, broken)
-    assert find_psi_mono(disagree, (0, 1), CHERRY, "left", (2, 3)) is None
-    # A single-leaf target holds at most one child-copy, so it always agrees.
-    assert find_psi_mono(disagree, (0, 1), leaf(), "left", (2, 3)) == (0,)
-    with pytest.raises(ValueError, match="side must be"):
-        find_psi_mono(uniform, (0, 1), CHERRY, "up", (2, 3))
-
-
-def test_find_psi_mono_vacuous_when_no_child_copies():
-    # Pattern's left child is a cherry; a single-leaf target cannot contain
-    # any copy of it, so the agreement condition holds vacuously.
-    t3 = perfect_tree(3)
-    chi = Coloring.uniform(t3, perfect_tree(2), 2, 0)
-    got = find_psi_mono(chi, (0, 1, 2, 3), leaf(), "left", (4, 5, 6, 7))
-    assert got == (0,)
 
 
 def test_json_roundtrip():

@@ -27,6 +27,7 @@ from ramsey_trees import (
     to_newick,
     validate_copy,
 )
+from ramsey_trees.arrows import _arrow_edges
 from ramsey_trees.embedding import _copies, _count_table
 from helpers import brute_copies, naive_induced_shape, naive_shape, perfect_induced_shape
 
@@ -376,6 +377,16 @@ def test_patterns_nearly_as_large_as_the_host():
                     assert enumerate_copies(host, p) == want, (host, p)
 
 
+def _traced(call):
+    """(call(), the peak bytes tracemalloc saw allocated during it)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_count_memory_is_bounded():
     # peaks: about 2.2 MB for a 5-leaf comb in the 3002-leaf comb, one
     # vector of six slots per host vertex, and about 1 MB for an 1100-leaf
@@ -384,10 +395,25 @@ def test_count_memory_is_bounded():
     deep = _comb(1100, "left")
     cases.append((deep, deep, 1, 2e6))
     for host, pattern, want, bound in cases:
-        tracemalloc.start()
-        try:
-            assert count_copies(host, pattern) == want
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = _traced(lambda: count_copies(host, pattern))
+        assert got == want
         assert peak < bound, (host.leaf_count, pattern.leaf_count, peak)
+
+
+def test_copy_listing_memory_is_bounded():
+    # 20,832 caterpillar copies in P6 peak at about 1475 KiB, the same
+    # under PYTHONHASHSEED 1, 2 and 3
+    host, pattern = perfect_tree(6), parse_newick("((,),)")
+    copies, peak = _traced(lambda: enumerate_copies(host, pattern))
+    assert len(copies) == 20_832
+    assert peak < 2 * 2**20, peak
+
+
+def test_arrow_edges_memory_is_bounded():
+    # The constraints of P5 -> (P2)^cherry: 496 variables and 16,120 edges
+    # of 6 members peak at about 2160 KiB, the same under PYTHONHASHSEED
+    # 1, 2 and 3
+    host, target, pattern = perfect_tree(5), perfect_tree(2), parse_newick("(,)")
+    (variables, edges), peak = _traced(lambda: _arrow_edges(host, target, pattern))
+    assert (len(variables), len(edges), {len(e) for e in edges}) == (496, 16_120, {6})
+    assert peak < 3 * 2**20, peak

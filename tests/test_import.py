@@ -130,9 +130,11 @@ def test_star_import_and_dir_list_every_public_name():
 
 
 def test_unknown_name_raises_attribute_error():
-    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
-        ramsey_trees.nope
-    assert not hasattr(ramsey_trees, "nope")
+    # removed public names stay removed
+    for name in ("nope", "psi_map", "find_psi_mono"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(ramsey_trees, name)
+        assert not hasattr(ramsey_trees, name)
 
 
 def test_bare_import_loads_no_submodule():
