@@ -39,7 +39,9 @@ print("T(2) -> (cherry)^leaf_2:", v.status, f"({v.nodes} subtree states)")
 
 # A substantial instance: the 120 cherries of T(4) are colored with three
 # colors, and we ask for a caterpillar ((,),) all of whose 3 cherries
-# agree. The search finds a bad coloring after a few thousand nodes.
+# agree. The backtracker alone would take 3,184 nodes; after its probe of
+# 120 nodes, one per cherry, the local search finds a bad coloring in a few
+# dozen flips, and every bad coloring is re-checked against each caterpillar.
 caterpillar = parse_newick("((,),)")
 v = check_arrow(perfect_tree(4), caterpillar, cherry, 3)
 print("T(4) -> (((,),))^cherry_3:", v.status,

@@ -5,9 +5,11 @@ in T admit a copy of H all of whose inner P-copies share one color? The
 negation is a constraint problem: one variable per P-copy, domain 0..k-1,
 and a not-all-equal constraint per H-copy; a solution is a "bad" coloring
 and the arrow Fails, exhaustion means it Holds, and exceeding the search
-budget yields Unknown. A host without a copy of H, or an H with at most
-one copy of P, settles the arrow without either. When P is a single leaf
-the colorings are leaf colorings, and a dynamic program over host subtrees
+budget yields Unknown. A backtracker decides either way; a local search,
+run between its probe and the rest of its run, can only find a bad
+coloring. A host without a copy of H, or an H with at most one copy of
+P, settles the arrow without either. When P is a single leaf the
+colorings are leaf colorings, and a dynamic program over host subtrees
 decides the arrow without building the constraints.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, _postorder, iso, parse_newick, perfect_tree, to_newick
@@ -35,7 +37,12 @@ from .coloring import Coloring, _least_agreeing, _relabel, is_mono
 
 class SearchBudget(_Value):
     """Limits of one arrow query: a search stops once it has taken
-    max_nodes nodes, or once more than max_millis ms have passed."""
+    max_nodes nodes, or once more than max_millis ms have passed.
+
+    On the constraint path a node is one color tried by the backtracker or
+    one flip of the local search, in one count; for a single-leaf pattern
+    it is one state of the dynamic program. Every engine polls the time
+    at least every 1024 nodes, and the local search at every flip."""
 
     _fields = ("max_nodes", "max_millis")
 
@@ -120,13 +127,15 @@ def check_arrow(
     Two cases are settled here with 0 nodes: a host without a copy of
     target fails (the witness gives every P-copy color 0), and a target
     with at most one copy of pattern holds, with no copy listed. Any other
-    query goes to an engine: a dynamic program over host subtrees for a
-    single-leaf pattern (_leaf_arrow), the constraint search otherwise
-    (_search_arrow), which reads every H-copy and so has their count, taken
-    once here, charged to the enumeration cap first. Both are
-    deterministic, re-verify every bad coloring they return, and return
-    (its assignment, or None if the arrow holds, and nodes). The budget
-    covers the whole query: an engine raises _OutOfBudget(nodes) at
+    query goes to an engine. A single-leaf pattern goes to a dynamic
+    program over host subtrees (_leaf_arrow). Any other pattern has its
+    H-copies, counted once here, charged to the enumeration cap; its NAE
+    instance is built once (_arrow_edges) and searched by _search_arrow: a
+    short backtracking probe, a local search that can only find a bad
+    coloring, then the backtracker for the rest of the budget. Every
+    engine is deterministic, re-verifies every bad coloring it returns, and
+    returns (its assignment, or None if the arrow holds, and nodes). The
+    budget covers the whole query: an engine raises _OutOfBudget(nodes) at
     max_nodes nodes, and its calls to poll(nodes) raise it once more than
     max_millis ms have passed. It is caught here alone and answered with
     Unknown.
@@ -148,13 +157,13 @@ def check_arrow(
     elif count_copies(target, pattern) <= 1:
         status, witness, nodes = "holds", None, 0
     else:
-        if pattern.is_leaf:
-            engine = _leaf_arrow
-        else:
-            check_enumeration(h_copies)
-            engine = _search_arrow
         try:
-            assignment, nodes = engine(host, target, pattern, k, budget.max_nodes, poll)
+            if pattern.is_leaf:
+                assignment, nodes = _leaf_arrow(host, target, pattern, k, budget.max_nodes, poll)
+            else:
+                check_enumeration(h_copies)
+                variables, edges = _arrow_edges(host, target, pattern, poll)
+                assignment, nodes = _search_arrow(variables, edges, k, budget.max_nodes, poll)
             status = "holds" if assignment is None else "fails"
         except _OutOfBudget as stop:
             status, assignment, nodes = "unknown", None, stop.nodes
@@ -162,30 +171,81 @@ def check_arrow(
     return ArrowVerdict(status, witness, nodes, elapsed_ms())
 
 
+def _nae_check(edges: list[tuple[int, ...]], colors: list[int]) -> None:
+    """Raise RuntimeError unless colors, one per variable, leave no edge
+    monochromatic: a bad coloring by definition, checked under python -O
+    too."""
+    for e in edges:
+        if len({colors[v] for v in e}) <= 1:
+            raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
+
+
+def _search_arrow(
+    variables: list[CopyRef],
+    edges: list[tuple[int, ...]],
+    k: int,
+    max_nodes: int,
+    poll: Callable[[int], None],
+) -> tuple[dict[CopyRef, int] | None, int]:
+    """Search the NAE instance of _arrow_edges for a bad coloring.
+
+    Returns (the bad coloring's assignment or None if the arrow holds,
+    nodes) for a query that check_arrow has not settled, and raises
+    _OutOfBudget(max_nodes) at the node cap. One fixed schedule shares one
+    node count. The backtracker (_backtrack) takes a probe of up to m
+    nodes, m the number of variables, which settles the queries it finds
+    at once. Then, for k >= 2, the local search (_local_search) takes up to
+    2m flips. Then the backtracker resumes where its probe stopped, for the
+    rest of the budget. Only the backtracker can answer holds; the bad
+    coloring of either engine passes _nae_check before it is returned.
+    poll is called with 0 before the search starts, then every 1024
+    backtracker nodes and at every flip. A budget of 0 nodes stops before
+    the backtracker builds its index.
+    """
+    poll(0)
+    if max_nodes == 0:
+        raise _OutOfBudget(0)
+    m = len(variables)
+    search = _backtrack(edges, m, k, min(max_nodes, m), poll)
+    try:
+        nodes = next(search)
+        colors = None
+        if k > 1 and nodes < max_nodes:
+            colors, nodes = _local_search(edges, m, k, nodes, min(max_nodes, nodes + 2 * m), poll)
+        if colors is None:
+            search.send((nodes, max_nodes))
+            raise _OutOfBudget(max_nodes)
+    except StopIteration as done:
+        colors, nodes = done.value
+    if colors is None:
+        return None, nodes
+    _nae_check(edges, colors)
+    return dict(zip(variables, colors)), nodes
+
+
 # Stored lookup entries of one search, each charged 1 + its length, per
 # edge and variable of the constraint set.
 _LOOKUP_ALLOWANCE = 4
 
 
-def _search_arrow(
-    host: PlaneTree,
-    target: PlaneTree,
-    pattern: PlaneTree,
+def _backtrack(
+    edges: list[tuple[int, ...]],
+    m: int,
     k: int,
-    max_nodes: int,
+    limit: int,
     poll: Callable[[int], None],
-) -> tuple[dict[CopyRef, int] | None, int]:
-    """Backtracking over the NAE constraints of _arrow_edges, for any pattern.
+) -> Generator[int, tuple[int, int], tuple[list[int] | None, int]]:
+    """Backtracking over NAE edges on the variables 0..m-1, as a generator.
 
-    Returns (the bad coloring's assignment or None if the arrow holds,
-    nodes) for a query that check_arrow has not settled. Variables are tried
-    most-constrained first (descending constraint degree, ties by
-    lexicographic copy order), colors in increasing order, and the first
-    variable is pinned to color 0 (sound by color-permutation symmetry). The
-    witness of a Fails verdict is the first bad coloring that order
+    It returns (the colors of a bad coloring, one per variable, or None if
+    there is none, nodes). Once it has taken limit nodes it yields that
+    count instead; sent (nodes, limit) it goes on, counting from nodes,
+    until the new limit. Variables are tried most-constrained first
+    (descending constraint degree, ties by index), colors in increasing
+    order, and the first variable is pinned to color 0 (sound by
+    color-permutation symmetry). The bad coloring is the first that order
     encounters; a node is one color tried for one variable. poll is called
-    with 0 during construction and before the search starts, then every
-    1024 nodes.
+    every 1024 nodes.
 
     The order is static. The search names each variable by its depth d in
     it, so when d gets a color the assigned variables are exactly 0..d. A
@@ -199,7 +259,7 @@ def _search_arrow(
     that removal stands, and it stands until the search backtracks above
     the second-to-last member. Whether a node conflicts, and which domain
     changes it leaves behind, do not depend on the order of the tests, and
-    the tests skipped could not act, so the node counts and witnesses are
+    the tests skipped could not act, so the node counts and colorings are
     those of testing every constraint of the variable, in any order of the
     edges.
 
@@ -217,10 +277,6 @@ def _search_arrow(
     bitmask of the variables holding it, and the untried colors are a list
     indexed by depth.
     """
-    variables, edges = _arrow_edges(host, target, pattern, poll)
-    poll(0)
-    m = len(variables)
-
     degree = Counter(itertools.chain.from_iterable(edges))
     order = sorted(range(m), key=lambda v: (-degree[v], v))
     # From here on a variable is named by its depth d in the order.
@@ -269,8 +325,8 @@ def _search_arrow(
             for u in removed[d]:
                 domain[u] |= low
             continue
-        if nodes >= max_nodes:
-            raise _OutOfBudget(nodes)
+        while nodes >= limit:
+            nodes, limit = yield nodes
         nodes += 1
         if not nodes & 1023:
             poll(nodes)
@@ -308,10 +364,107 @@ def _search_arrow(
     colors = [0] * m
     for d, v in enumerate(order):
         colors[v] = color_of[d]
-    for e in edges:
-        if len({colors[v] for v in e}) <= 1:
-            raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
-    return dict(zip(variables, colors)), nodes
+    return colors, nodes
+
+
+# The local search's seed, and its noise: the share of flips, in tenths,
+# drawn at random rather than among those with the fewest breaks.
+_SEED = 0x9E3779B97F4A7C15
+_NOISE = 3
+_MASK64 = (1 << 64) - 1
+
+
+def _local_search(
+    edges: list[tuple[int, ...]],
+    m: int,
+    k: int,
+    nodes: int,
+    limit: int,
+    poll: Callable[[int], None],
+) -> tuple[list[int] | None, int]:
+    """NAE WalkSAT (Selman, Kautz & Cohen 1994) on variables 0..m-1, k >= 2.
+
+    Returns (the colors of a bad coloring, one per variable, or None, and
+    the node count, which goes on from nodes). The edges all have one size
+    r, as _arrow_edges gives them. It reads them sorted, so its answers do
+    not depend on their order, draws from xorshift64* seeded with _SEED,
+    and starts from a random coloring. While some edge is monochromatic it
+    flips one variable, one node. It picks a monochromatic edge at random,
+    of color c. For each member v and color b != c, the breaks of (v, b)
+    are the edges of v whose other r - 1 members all have color b: the
+    flip would make them monochromatic. With probability _NOISE/10 it
+    flips a random (v, b), otherwise a random one of those with the fewest
+    breaks. It stops without an answer rather than take a node past limit,
+    so it never tells that the arrow holds. It keeps, per color and edge,
+    the count of the edge's members of that color, and the monochromatic
+    edges in a list with each one's position in it. poll is called at
+    every node: a flip reads all edges of the picked edge's members, so it
+    costs far more than a node of the backtracker.
+    """
+    state = _SEED
+
+    def draw(n: int) -> int:
+        """A number in 0..n-1 from the high half of the next xorshift64* output."""
+        nonlocal state
+        x = state
+        x ^= x >> 12
+        x ^= x << 25 & _MASK64
+        x ^= x >> 27
+        state = x
+        return ((x * 0x2545F4914F6CDD1D & _MASK64) >> 32) * n >> 32
+
+    edges = sorted(edges)
+    r = len(edges[0])
+    colors = [draw(k) for _ in range(m)]
+    # count[b][j]: the members of edge j with color b; occ[v]: v's edges
+    count = [[0] * len(edges) for _ in range(k)]
+    occ: list[list[int]] = [[] for _ in range(m)]
+    for j, e in enumerate(edges):
+        for v in e:
+            count[colors[v]][j] += 1
+            occ[v].append(j)
+    # the monochromatic edges, and where[j], edge j's position among them
+    mono = [j for j, e in enumerate(edges) if count[colors[e[0]]][j] == r]
+    where = [0] * len(edges)
+    for i, j in enumerate(mono):
+        where[j] = i
+
+    while mono:
+        if nodes >= limit:
+            return None, nodes
+        nodes += 1
+        poll(nodes)
+        e = edges[mono[draw(len(mono))]]
+        c = colors[e[0]]
+        if draw(10) < _NOISE:
+            v = e[draw(len(e))]
+            b = draw(k - 1)
+            b += b >= c
+        else:
+            fewest, picks = None, []
+            for v in e:
+                for b in range(k):
+                    if b != c:
+                        breaks = [*map(count[b].__getitem__, occ[v])].count(r - 1)
+                        if fewest is None or breaks < fewest:
+                            fewest, picks = breaks, [(v, b)]
+                        elif breaks == fewest:
+                            picks.append((v, b))
+            v, b = picks[draw(len(picks))]
+        colors[v] = b
+        was, now = count[c], count[b]
+        for j in occ[v]:
+            if was[j] == r:  # was monochromatic in c
+                i, last = where[j], mono.pop()
+                if last != j:
+                    mono[i] = last
+                    where[last] = i
+            was[j] -= 1
+            now[j] += 1
+            if now[j] == r:
+                where[j] = len(mono)
+                mono.append(j)
+    return colors, nodes
 
 
 def _rearrangements(state: tuple[int, ...]) -> list[tuple[int, ...]]:

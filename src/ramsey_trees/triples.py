@@ -99,9 +99,15 @@ class TripleStructure(_Value):
         return g
 
     def to_json_obj(self) -> dict:
+        """The domain, and the triples in order of their entries' positions."""
+        n = len(self.domain)
         pos = {x: i for i, x in enumerate(self.domain)}
-        ordered = sorted(self.triples, key=lambda t: (pos[t[0]], pos[t[1]], pos[t[2]]))
-        return {"domain": list(self.domain), "triples": [list(t) for t in ordered]}
+        triples = list(self.triples)
+        # one int per triple, its positions in base n, so the sort compares
+        # ints rather than tuples
+        keys = [(pos[a] * n + pos[b]) * n + pos[c] for a, b, c in triples]
+        ordered = map(triples.__getitem__, sorted(range(len(triples)), key=keys.__getitem__))
+        return {"domain": list(self.domain), "triples": list(map(list, ordered))}
 
     @classmethod
     def from_json_obj(cls, obj) -> "TripleStructure":

@@ -161,7 +161,7 @@ def _random_host(rng: random.Random, n: int):
     return node(_random_host(rng, i), _random_host(rng, n - i))
 
 
-def test_arrow_verdicts_agree_with_the_mirror():
+def test_arrow_verdicts_agree_with_the_mirror(monkeypatch):
     # Leaf i of T is leaf n-1-i of mirror(T), so T -> (H)^P_k holds iff
     # mirror(T) -> (mirror H)^(mirror P)_k does, and a bad coloring carries
     # over copy by copy. Beyond the brute-force universe this is the oracle.
@@ -186,6 +186,16 @@ def test_arrow_verdicts_agree_with_the_mirror():
         queries.append((host, rng.choice(small), leaf(), rng.choice((2, 3)), 5000))
     # perfect hosts are their own mirrors, so many queries meet twice
     verdicts: dict = {}
+    local_search = arrows._local_search
+    found = 0  # bad colorings the local search returned
+
+    def counted(*args):
+        nonlocal found
+        colors, nodes = local_search(*args)
+        found += colors is not None
+        return colors, nodes
+
+    monkeypatch.setattr(arrows, "_local_search", counted)
 
     def verdict(*query):
         if query not in verdicts:
@@ -210,6 +220,8 @@ def test_arrow_verdicts_agree_with_the_mirror():
                 assert all(is_mono(chi, hc) is None for hc in enumerate_copies(h, t)), (h, t, p, k)
                 witnesses += 1
     assert witnesses >= 100
+    # queries the local search decided, each checked through its mirror
+    assert found == 9
 
 
 def test_check_arrow_budget_exhaustion():
@@ -274,21 +286,22 @@ def test_budget_stops_h_copy_listing():
 
 
 def test_search_arrow_pinned_path():
-    # The backtracker's variable order, color order, symmetry pin and
-    # pruning fix its search tree; a rewrite of its state must walk the
-    # same tree, so node counts and witnesses are pinned exactly.
+    # The schedule fixes the search: the backtracker's variable order, color
+    # order, symmetry pin and pruning, the probe and flip allowances, and
+    # the local search's seed and choices. A rewrite of its state must walk
+    # the same path, so node counts and witnesses are pinned exactly.
     p4, p2, mirror = perfect_tree(4), perfect_tree(2), parse_newick("(,(,))")
     v = check_arrow(p4, CAT3, CHERRY, 3, SearchBudget(max_nodes=20_000))
-    assert (v.status, v.nodes) == ("fails", 3184)
+    assert (v.status, v.nodes) == ("fails", 158)
     colors = "".join(str(v.witness.assignment[c]) for c in sorted(v.witness.assignment))
     assert colors == (
-        "000000000000000111111222222220222211111111222211111111000111111111"
-        "111111111022222222222222220000000111111022222222000110"
+        "000102211212221210202120211202112021001002111202222000120001021020"
+        "010012212002101101211101100221101001121201010200101020"
     )
     assert check_witness(p4, CAT3, v.witness)
-    for target, max_nodes in ((CAT3, 20_000), (mirror, 20_000), (p2, 5_000)):
-        v = check_arrow(p4, target, CHERRY, 2, SearchBudget(max_nodes=max_nodes))
-        assert (v.status, v.witness, v.nodes) == ("unknown", None, max_nodes), target
+    for target in (CAT3, mirror):
+        v = check_arrow(p4, target, CHERRY, 2, SearchBudget(max_nodes=20_000))
+        assert (v.status, v.witness, v.nodes) == ("unknown", None, 20_000), target
     v = check_arrow(p4, p2, CAT3, 2, SearchBudget())
     assert (v.status, v.nodes) == ("holds", 2)
 
@@ -301,11 +314,11 @@ def test_search_arrow_pinned_path():
         v = check_arrow(host, target, pattern, k, budget)
         witness = None if v.witness is None else sorted(v.witness.assignment.items())
         digest.update(repr((v.status, v.nodes, witness)).encode())
-    assert digest.hexdigest() == "c7c66d44d0a7af605423db88b899f78e779858e6bc89758248198f8e208f8356"
+    assert digest.hexdigest() == "c4f07048160551e7548f1e1bd2447b05a04f0e4aca0263138bad3752bbf794cc"
 
 
 def test_search_arrow_pinned_path_on_p4():
-    # 42 queries on P4: 17 fail, 18 hold and 7 run out of nodes. Targets of
+    # 42 queries on P4: 20 fail, 18 hold and 4 run out of nodes. Targets of
     # four leaves against the cherry give 6-member constraints, and k = 3
     # gives failures deep in a real host's search tree.
     p4 = perfect_tree(4)
@@ -319,17 +332,13 @@ def test_search_arrow_pinned_path_on_p4():
         statuses.append(v.status)
         witness = None if v.witness is None else sorted(v.witness.assignment.items())
         digest.update(repr((v.status, v.nodes, witness)).encode())
-    assert [statuses.count(s) for s in ("fails", "holds", "unknown")] == [17, 18, 7]
-    assert digest.hexdigest() == "69bfe52d14b245a00a2bc9279e70a96f5caa71374cfac97529e1febf803f2bde"
+    assert [statuses.count(s) for s in ("fails", "holds", "unknown")] == [20, 18, 4]
+    assert digest.hexdigest() == "cfe2cbc012079cf98fa5647a51a9fd991f65e31b43746d48f3ea2deb1e28081b"
 
 
 def test_search_arrow_pinned_path_on_p5():
-    # P5 has 496 cherries, so the variable masks span many machine digits.
-    # The last query, P4 -> (P2)^cherry_2 at 20k nodes, spends the search's
-    # allowance of 4 * (860 edges + 120 variables) stored lookup entries
-    # after about 10k nodes and runs the rest without storing. It ends
-    # unknown, so it pins only that path's node count; the test below pins
-    # that path on decided queries.
+    # P5 has 496 cherries, so the variable masks span many machine digits,
+    # and the local search has edges of up to 6 members over 496 variables.
     p5, p2, mirror = perfect_tree(5), perfect_tree(2), parse_newick("(,(,))")
     queries = [
         (p5, target, CHERRY, k, max_nodes)
@@ -344,17 +353,30 @@ def test_search_arrow_pinned_path_on_p5():
         statuses.append(v.status)
         witness = None if v.witness is None else sorted(v.witness.assignment.items())
         digest.update(repr((v.status, v.nodes, witness)).encode())
-    assert statuses == ["unknown"] * 3 + ["fails"] + ["unknown"] * 3
-    assert digest.hexdigest() == "4891e465d41fef0818fc10a02509eebd1eeb3e999b75fc600d3b1ceebbcc3023"
+    assert statuses == ["unknown", "fails"] * 3 + ["fails"]
+    assert digest.hexdigest() == "6f0ae1a3b12da54aba3a63cafaa87b4184ac7a0e50529649f2a6be71d7242174"
+
+
+def _backtracker(host, target, pattern, k, max_nodes, poll=lambda nodes: None):
+    """The backtracker alone, with no probe and no local search, on the
+    constraints check_arrow builds: (its colors or None, nodes), or
+    ("unknown", max_nodes) where it runs out of nodes."""
+    variables, edges = _arrow_edges(host, target, pattern, poll)
+    search = arrows._backtrack(edges, len(variables), k, max_nodes, poll)
+    try:
+        return "unknown", next(search)
+    except StopIteration as done:
+        return done.value
 
 
 def test_search_arrow_pinned_path_when_unknown():
-    # The digests above pin a query that ends unknown by its node count
-    # alone. Here its path is pinned too: (nodes, depth d, the colors of
-    # depths 0..d-1) at every poll of the search and where the budget runs
-    # out, read from the engine's frame. P4 -> (P2)^cherry_2 spends the
-    # lookup allowance after about 10k nodes, so its tail pins the lookups
-    # that are scanned anew and not stored.
+    # The backtracker's path on queries it leaves unknown is pinned by
+    # (nodes, depth d, the colors of depths 0..d-1) at every poll and where
+    # it stops at its limit, read from its frame; construction and the
+    # schedule's poll before the search are recorded without a depth.
+    # P4 -> (P2)^cherry_2 spends the lookup allowance after about 10k
+    # nodes, so its tail pins the lookups that are scanned anew and not
+    # stored.
     p4, p5, p2, mirror = perfect_tree(4), perfect_tree(5), perfect_tree(2), parse_newick("(,(,))")
     queries = [(p4, target, 2, 20_000) for target in (CAT3, mirror, p2)]
     queries += [(p5, CAT3, 2, 20_000), (p5, CAT3, 3, 20_000), (p5, mirror, 2, 20_000),
@@ -362,49 +384,118 @@ def test_search_arrow_pinned_path_when_unknown():
     digest = hashlib.sha256()
     points = 0
 
-    def record(nodes, frame):
+    def record(nodes, state):
         nonlocal points
-        state = frame.f_locals
         d = state.get("d")  # unset during construction
         digest.update(repr((nodes, d, None if d is None else tuple(state["color_of"][:d]))).encode())
         points += 1
 
+    def poll(nodes):
+        record(nodes, sys._getframe(1).f_locals)
+
     for host, target, k, max_nodes in queries:
-        with pytest.raises(arrows._OutOfBudget) as stop:
-            arrows._search_arrow(host, target, CHERRY, k, max_nodes,
-                                 lambda nodes: record(nodes, sys._getframe(1)))
-        tb = stop.tb
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        assert tb.tb_frame.f_code is arrows._search_arrow.__code__
-        assert stop.value.nodes == max_nodes
-        record(max_nodes, tb.tb_frame)
+        variables, edges = _arrow_edges(host, target, CHERRY, poll)
+        record(0, {})
+        search = arrows._backtrack(edges, len(variables), k, max_nodes, poll)
+        assert next(search) == max_nodes
+        record(max_nodes, search.gi_frame.f_locals)
     assert points == 192
     assert digest.hexdigest() == "1214fd0d9fe10e87c6fe46ebc71555b866d9ba0636e37084886b49149cbd3b62"
 
 
+def test_local_search_pinned_witnesses():
+    # Queries the backtracker leaves to the local search: P4 -> (P2)^cherry_2
+    # is unknown to it at 1M nodes, P4 -> (caterpillar)^cherry_3 takes it
+    # 3,184 nodes and P5 -> (caterpillar)^cherry_3 more than 1M. The probe
+    # takes one node per variable (120 on P4, 496 on P5), then the flips.
+    p4, p5, p2 = perfect_tree(4), perfect_tree(5), perfect_tree(2)
+    digest = hashlib.sha256()
+    got = []
+    for host, target, k, max_nodes in ((p4, p2, 2, 5_000), (p4, CAT3, 3, 20_000),
+                                       (p5, CAT3, 3, 20_000)):
+        v = check_arrow(host, target, CHERRY, k, SearchBudget(max_nodes=max_nodes))
+        got.append((v.status, v.nodes))
+        assert check_witness(host, target, v.witness)
+        digest.update(repr(sorted(v.witness.assignment.items())).encode())
+    assert got == [("fails", 167), ("fails", 158), ("fails", 1014)]
+    assert digest.hexdigest() == "28fdd46b26095a8c5ea703f5613ee77c665dc753da9e5561a0207a2c86bfa927"
+
+
+def test_search_schedule_budgets(monkeypatch):
+    # P4 -> (caterpillar)^cherry_2 holds. Its 120 variables give a probe of
+    # nodes 1-120 and at most 240 flips, nodes 121-360, before the
+    # backtracker resumes. Every budget, on either side of those bounds,
+    # ends unknown with all of its nodes, and a budget the probe spends
+    # takes no flip.
+    flips = []
+    local_search = arrows._local_search
+
+    def counted(edges, m, k, nodes, limit, poll):
+        colors, end = local_search(edges, m, k, nodes, limit, poll)
+        flips.append(end - nodes)
+        return colors, end
+
+    monkeypatch.setattr(arrows, "_local_search", counted)
+    for max_nodes in (0, 1, 119, 120, 121, 359, 360, 361, 5_000):
+        flips.clear()
+        v = check_arrow(perfect_tree(4), CAT3, CHERRY, 2, SearchBudget(max_nodes=max_nodes))
+        assert (v.status, v.witness, v.nodes) == ("unknown", None, max_nodes)
+        assert flips == ([min(max_nodes - 120, 240)] if max_nodes > 120 else [])
+
+
+# A planted fault in the local search: a flip does not count the new color
+# in the first edge of the variable it flips.
+_SKIPPED_UPDATE = ("            now[j] += 1\n", "            now[j] += j != occ[v][0]\n")
+
+
+def test_local_search_witness_is_rechecked(monkeypatch):
+    old, new = _SKIPPED_UPDATE
+    source = inspect.getsource(arrows._local_search)
+    assert source.count(old) == 1
+    namespace = dict(vars(arrows))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(arrows, "_local_search", namespace["_local_search"])
+    with pytest.raises(RuntimeError, match="bad coloring leaves edge .* monochromatic"):
+        check_arrow(perfect_tree(4), CAT3, CHERRY, 3)
+
+
+def test_local_search_recheck_runs_under_optimize():
+    script = (
+        "import inspect\n"
+        "from ramsey_trees import arrows, check_arrow, parse_newick, perfect_tree\n"
+        f"old, new = {_SKIPPED_UPDATE!r}\n"
+        "exec(inspect.getsource(arrows._local_search).replace(old, new), vars(arrows))\n"
+        "try:\n"
+        "    check_arrow(perfect_tree(4), parse_newick('((,),)'), parse_newick('(,)'), 3)\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n"
+    )
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("internal error: bad coloring leaves edge")
+    assert proc.stdout.rstrip().endswith("monochromatic")
+
+
 def test_search_answers_do_not_depend_on_the_lookup_allowance(monkeypatch):
     # With no allowance every lookup is scanned anew and none is stored; the
-    # 42 queries of the P4 digest and the bench's must get the same answers.
+    # backtracker's answers on the queries of the P4 digest that reach it,
+    # and on the bench's, must be the same.
     p4, p2, mirror = perfect_tree(4), perfect_tree(2), parse_newick("(,(,))")
     queries = [
         (p4, target, pattern, k, 5_000)
         for target in (t for n in (3, 4) for t in all_trees(n))
         for pattern in (t for n in (2, 3) for t in all_trees(n))
         for k in (2, 3)
+        if count_copies(p4, target) and count_copies(target, pattern) > 1
     ]
     queries += [(p4, CAT3, CHERRY, 2, 20_000), (p4, mirror, CHERRY, 2, 20_000),
                 (p4, CAT3, CHERRY, 3, 20_000), (p4, p2, CAT3, 2, 200_000)]
 
     def answers():
-        out = []
-        for host, target, pattern, k, max_nodes in queries:
-            v = check_arrow(host, target, pattern, k, SearchBudget(max_nodes=max_nodes))
-            out.append((v.status, v.nodes, v.witness))
-        return out
+        return [_backtracker(*query) for query in queries]
 
     want = answers()
-    assert [a[0] for a in want].count("fails") == 18
+    assert sum(isinstance(colors, list) for colors, _ in want) == 18  # bad colorings
     monkeypatch.setattr(arrows, "_LOOKUP_ALLOWANCE", 0)
     assert answers() == want
 
@@ -424,12 +515,40 @@ def test_search_budget_validates_its_fields():
 
 def test_search_arrow_time_budget():
     # Construction takes a few ms; the budget runs out inside the search
-    # loop and is seen at one of its polls every 1024 nodes.
+    # and is seen at one of its polls: every 1024 backtracker nodes, or
+    # every flip.
     start = time.monotonic()
-    v = check_arrow(perfect_tree(4), perfect_tree(2), CHERRY, 2, SearchBudget(max_millis=30))
+    v = check_arrow(perfect_tree(4), CAT3, CHERRY, 2, SearchBudget(max_millis=30))
     assert time.monotonic() - start < 1.0
     assert (v.status, v.witness) == ("unknown", None)
     assert 0 < v.nodes < 10_000_000
+
+
+def test_time_budget_stops_the_flips_at_once(monkeypatch):
+    # On P5 -> (P2)^cherry_2 a flip reads the edges of 6 members, about 200
+    # each, and the 992 flips take tens of ms. The local search polls at
+    # every flip, so a time budget that runs out among them is overrun by
+    # about one flip, where a poll every 1024 flips would let them all run.
+    host, target = perfect_tree(5), perfect_tree(2)
+    local_search = arrows._local_search
+    spans = []
+
+    def timed(*args):
+        start = time.monotonic()
+        try:
+            return local_search(*args)
+        finally:
+            spans.append((start, time.monotonic()))
+
+    monkeypatch.setattr(arrows, "_local_search", timed)
+    t0 = time.monotonic()
+    v = check_arrow(host, target, CHERRY, 2, SearchBudget(max_nodes=1_488))
+    assert (v.status, v.nodes) == ("unknown", 1_488)  # the probe's 496 nodes and 992 flips
+    [(start, end)] = spans
+    max_millis = int((start - t0 + 0.6 * (end - start)) * 1000)
+    v = check_arrow(host, target, CHERRY, 2, SearchBudget(max_millis=max_millis))
+    assert v.status == "unknown"
+    assert v.millis - max_millis < 10, (v.millis, max_millis, v.nodes)
 
 
 def test_leaf_arrow_matches_search_oracle():
@@ -451,7 +570,7 @@ def test_leaf_arrow_matches_search_oracle():
                 else:
                     try:
                         assignment = arrows._search_arrow(
-                            host, target, leaf(), k, 20_000, lambda nodes: None
+                            *_arrow_edges(host, target, leaf()), k, 20_000, lambda nodes: None
                         )[0]
                         want = "holds" if assignment is None else "fails"
                     except arrows._OutOfBudget:
@@ -533,13 +652,27 @@ def test_every_poll_site_stops_the_engines():
     def unshared(d):  # a perfect tree whose subtrees are all distinct objects
         return leaf() if d == 0 else node(unshared(d - 1), unshared(d - 1))
 
+    def constraints(host, target, pattern, k, max_nodes, poll):
+        # check_arrow's constraint path
+        return arrows._search_arrow(*_arrow_edges(host, target, pattern, poll), k, max_nodes, poll)
+
+    def outcome(engine, args, max_nodes, poll):
+        # the engine's answer, or the nodes it stopped at
+        try:
+            return engine(*args, max_nodes, poll)
+        except arrows._OutOfBudget as stop:
+            return stop.nodes
+
     queries = [
         # vertices, witness rebuild and re-verification of the leaf DP
-        (arrows._leaf_arrow, (perfect_tree(9), perfect_tree(5), leaf(), 2)),
-        # construction, the poll before the search, and the search loop
-        (arrows._search_arrow, (perfect_tree(4), CAT3, CHERRY, 3)),
+        (arrows._leaf_arrow, (perfect_tree(9), perfect_tree(5), leaf(), 2), 10_000_000),
+        # construction, the poll before the search, then a failing query:
+        # the probe's 120 nodes and 47 flips, each flip polled
+        (constraints, (perfect_tree(4), perfect_tree(2), CHERRY, 2), 5_000),
+        # a holding query: the probe, 240 flips, the backtracker to 2048
+        (constraints, (perfect_tree(4), CAT3, CHERRY, 2), 2_048),
         # the leaf DP's state products, which need an unshared host
-        (arrows._leaf_arrow, (unshared(5), perfect_tree(3), leaf(), 3)),
+        (arrows._leaf_arrow, (unshared(5), perfect_tree(3), leaf(), 3), 10_000_000),
     ]
     polls = []  # (nodes, line) of each call
     stop_at = 0  # 0: never raise
@@ -551,41 +684,39 @@ def test_every_poll_site_stops_the_engines():
 
     reached = set()
     full_polls = []
-    for engine, args in queries:
+    for engine, args, max_nodes in queries:
         polls, stop_at = [], 0
-        full = engine(*args, 10_000_000, poll)
+        full = outcome(engine, args, max_nodes, poll)
         full_calls = polls
         full_polls.append([nodes for nodes, _ in full_calls])
         reached |= {line for _, line in full_calls}
         for stop_at in range(1, len(full_calls) + 1):
             polls = []
             with pytest.raises(arrows._OutOfBudget) as stop:
-                engine(*args, 10_000_000, poll)
+                engine(*args, max_nodes, poll)
             assert polls == full_calls[:stop_at], (engine, stop_at)
             assert stop.value.nodes == polls[-1][0], (engine, stop_at)
-        total = full[1]
+        total = full if isinstance(full, int) else full[1]
         sweep = range(total) if total < 200 else (0, 1, 1024, total - 1)
-        if engine is arrows._search_arrow:
-            sweep = (*sweep, 1023, 1025, 2048)  # either side of the polls
-        for max_nodes in sweep:
+        if engine is constraints and total >= 200:
+            # either side of the probe, of the flips and of a poll
+            sweep = (*sweep, 119, 120, 121, 359, 360, 361, 1023, 1025)
+        for budget in sweep:
             with pytest.raises(arrows._OutOfBudget) as stop:
-                engine(*args, max_nodes, lambda nodes: None)
-            assert stop.value.nodes == max_nodes, (engine, max_nodes)
-        assert engine(*args, total, lambda nodes: None) == full
+                engine(*args, budget, lambda nodes: None)
+            assert stop.value.nodes == budget, (engine, budget)
+        assert outcome(engine, args, total, lambda nodes: None) == full
 
     assert full_polls[0] == [1, 3, 6, 11, 18, 27, 33, 37, 39, 40, 40, 40, 40]
-    assert full_polls[1] == [0, 0, 1024, 2048, 3072]
-    polls = []
-    with pytest.raises(arrows._OutOfBudget) as stop:
-        arrows._search_arrow(*queries[1][1], 2048, lambda nodes: polls.append(nodes))
-    assert (polls, stop.value.nodes) == ([0, 0, 1024, 2048], 2048)
+    assert full_polls[1] == [0, 0, *range(121, 168)]
+    assert full_polls[2] == [0, 0, *range(121, 361), 1024, 2048]
     with open(arrows.__file__, encoding="utf-8") as fh:
         sites = {
             n.lineno
             for n in ast.walk(ast.parse(fh.read()))
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "poll"
         }
-    assert len(sites) == 8
+    assert len(sites) == 9
     assert reached == sites
 
 
@@ -610,7 +741,7 @@ def test_search_answers_do_not_depend_on_edge_order(monkeypatch):
         return out
 
     want = answers()
-    assert [a[0] for a in want] == ["unknown", "unknown", "unknown", "fails", "holds"]
+    assert [a[0] for a in want] == ["unknown", "unknown", "fails", "fails", "holds"]
     edges_of = arrows._arrow_edges
     rng = random.Random(21)
     for reorder in (lambda e: e[::-1], lambda e: rng.sample(e, len(e))):
@@ -624,7 +755,7 @@ def test_search_answers_do_not_depend_on_edge_order(monkeypatch):
 
 class _HidesFirstEdge(list):
     """Edges whose first two passes (the degree count and the watch build of
-    _search_arrow) miss the first edge, which the final re-check sees."""
+    _backtrack) miss the first edge, which _nae_check sees."""
 
     passes = 0
 
@@ -658,9 +789,8 @@ def test_search_lookup_memory_is_bounded_by_the_constraints():
     def peak(max_nodes):
         tracemalloc.start()
         try:
-            with pytest.raises(arrows._OutOfBudget):
-                arrows._search_arrow(perfect_tree(4), perfect_tree(2), CHERRY, 2, max_nodes,
-                                     lambda nodes: None)
+            assert _backtracker(perfect_tree(4), perfect_tree(2), CHERRY, 2, max_nodes) == (
+                "unknown", max_nodes)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -23,7 +23,7 @@ from ramsey_trees import (
 )
 from ramsey_trees import cli, selftest
 from ramsey_trees.cli import _budget, build_parser, main
-from helpers import labeled
+from helpers import check_witness, labeled
 
 CAT3 = "((,),)"
 
@@ -193,6 +193,21 @@ def test_check_arrow_budget_exit_code(capsys):
     rc, out, _ = run(capsys, "check-arrow", "((,),(,))", "(,)", "", "2", "--budget-nodes", "0")
     assert rc == 2
     assert json.loads(out)["verdict"] == "unknown"
+
+
+def test_check_arrow_on_the_benchmark_host(capsys):
+    # The benchmark's cli workload runs both commands and expects these exit
+    # codes: the first is a query that holds, which no engine may decide in
+    # 2000 nodes; the second fails with a witness checked by definition.
+    p4 = to_newick(perfect_tree(4))
+    rc, out, _ = run(capsys, "check-arrow", p4, CAT3, "(,)", "2", "--budget-nodes", "2000")
+    obj = json.loads(out)
+    assert (rc, obj["verdict"], obj["witness"], obj["nodes"]) == (2, "unknown", None, 2000)
+    rc, out, _ = run(capsys, "check-arrow", p4, CAT3, "(,)", "3")
+    obj = json.loads(out)
+    assert (rc, obj["verdict"]) == (0, "fails")
+    witness = Coloring.from_json_obj(obj["witness"])
+    assert check_witness(perfect_tree(4), parse_newick(CAT3), witness)
 
 
 def test_budget_flags_keep_their_meaning(capsys):

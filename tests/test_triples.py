@@ -190,6 +190,17 @@ def test_triple_count_certificate_under_optimize():
     assert proc.stdout == "internal error: encoded 1 triples, expected 2\n"
 
 
+@given(trees, st.booleans())
+def test_json_lists_triples_in_position_order(t, with_labels):
+    # to_json_obj sorts on one int per triple; the order is that of the
+    # entries' position tuples, byte for byte.
+    g = structure_of(labeled(t) if with_labels else t)
+    pos = {x: i for i, x in enumerate(g.domain)}
+    ordered = sorted(g.triples, key=lambda t: tuple(pos[x] for x in t))
+    want = {"domain": list(g.domain), "triples": [list(t) for t in ordered]}
+    assert json.dumps(g.to_json_obj()) == json.dumps(want)
+
+
 def _assert_matches_definition(t):
     g = structure_of(t)
     assert (g.domain, g.triples) == brute_structure(t)
