@@ -42,7 +42,10 @@ class SearchBudget(_Value):
     On the constraint path a node is one color tried by the backtracker or
     one flip of the local search, in one count; for a single-leaf pattern
     it is one state of the dynamic program. Every engine polls the time
-    at least every 1024 nodes, and the local search at every flip."""
+    at least every 1024 nodes, and the local search at every flip; the
+    constraint path also polls after every 1024 edges of each pass over
+    them: its index build, the local search's setup and the final re-check
+    of a bad coloring."""
 
     _fields = ("max_nodes", "max_millis")
 
@@ -171,13 +174,20 @@ def check_arrow(
     return ArrowVerdict(status, witness, nodes, elapsed_ms())
 
 
-def _nae_check(edges: list[tuple[int, ...]], colors: list[int]) -> None:
+def _nae_check(
+    edges: list[tuple[int, ...]],
+    colors: list[int],
+    nodes: int,
+    poll: Callable[[int], None],
+) -> None:
     """Raise RuntimeError unless colors, one per variable, leave no edge
     monochromatic: a bad coloring by definition, checked under python -O
-    too."""
-    for e in edges:
+    too. poll(nodes) is called after every 1024 edges."""
+    for j, e in enumerate(edges):
         if len({colors[v] for v in e}) <= 1:
             raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
+        if j & 1023 == 1023:
+            poll(nodes)
 
 
 def _search_arrow(
@@ -199,8 +209,10 @@ def _search_arrow(
     rest of the budget. Only the backtracker can answer holds; the bad
     coloring of either engine passes _nae_check before it is returned.
     poll is called with 0 before the search starts, then every 1024
-    backtracker nodes and at every flip. A budget of 0 nodes stops before
-    the backtracker builds its index.
+    backtracker nodes and at every flip, and with the node count so far
+    after every 1024 edges of the backtracker's index build, of the local
+    search's setup and of _nae_check. A budget of 0 nodes stops before the
+    backtracker builds its index.
     """
     poll(0)
     if max_nodes == 0:
@@ -219,7 +231,7 @@ def _search_arrow(
         colors, nodes = done.value
     if colors is None:
         return None, nodes
-    _nae_check(edges, colors)
+    _nae_check(edges, colors, nodes, poll)
     return dict(zip(variables, colors)), nodes
 
 
@@ -245,7 +257,8 @@ def _backtrack(
     order, and the first variable is pinned to color 0 (sound by
     color-permutation symmetry). The bad coloring is the first that order
     encounters; a node is one color tried for one variable. poll is called
-    every 1024 nodes.
+    with 0 after every 1024 edges of the index build, then every 1024
+    nodes.
 
     The order is static. The search names each variable by its depth d in
     it, so when d gets a color the assigned variables are exactly 0..d. A
@@ -288,7 +301,7 @@ def _backtrack(
     # whose second-to-last member is d; rel[d]: the OR of those masks
     watch: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     rel = [0] * m
-    for e in edges:
+    for j, e in enumerate(edges):
         mask = 0
         for v in e:
             mask |= at[v]
@@ -298,6 +311,8 @@ def _backtrack(
         mask ^= bit[second]
         watch[second].append((mask, last))
         rel[second] |= mask
+        if j & 1023 == 1023:
+            poll(0)
     # losers[d]: key -> the distinct watched last members that lose the color
     losers: list[dict[int, list[int]]] = [{} for _ in range(m)]
     room = _LOOKUP_ALLOWANCE * (len(edges) + m)
@@ -397,9 +412,10 @@ def _local_search(
     breaks. It stops without an answer rather than take a node past limit,
     so it never tells that the arrow holds. It keeps, per color and edge,
     the count of the edge's members of that color, and the monochromatic
-    edges in a list with each one's position in it. poll is called at
-    every node: a flip reads all edges of the picked edge's members, so it
-    costs far more than a node of the backtracker.
+    edges in a list with each one's position in it. poll is called with
+    nodes after every 1024 edges of that setup, then at every node: a flip
+    reads all edges of the picked edge's members, so it costs far more than
+    a node of the backtracker.
     """
     state = _SEED
 
@@ -423,6 +439,8 @@ def _local_search(
         for v in e:
             count[colors[v]][j] += 1
             occ[v].append(j)
+        if j & 1023 == 1023:
+            poll(nodes)
     # the monochromatic edges, and where[j], edge j's position among them
     mono = [j for j, e in enumerate(edges) if count[colors[e[0]]][j] == r]
     where = [0] * len(edges)

@@ -130,10 +130,7 @@ def induced_subtree(host: PlaneTree, leaves) -> PlaneTree:
 
 def is_copy(host: PlaneTree, leaves, pattern: PlaneTree) -> bool:
     """Does the leaf subset induce a tree plane-isomorphic to pattern?"""
-    s = validate_copy(host, leaves)
-    if len(s) != pattern.leaf_count:
-        return False
-    return iso(induced_subtree(host, s), pattern)
+    return iso(induced_subtree(host, leaves), pattern)
 
 
 def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
@@ -267,13 +264,15 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     an ancestor is tried at a level only if the levels above can still be
     filled, and a part is listed only when the walk reaches it.
 
-    A batch is a list of the copies with one prefix and one part at the
-    last level, unless r_L is a leaf and L >= 2. Then the last leaf takes
-    every position from the end of u_{L-1} to the end of t, one range, as
-    each later leaf parts from a above u_{L-1}, with a on the left. So a
-    batch is a block: the copies with one prefix and one u_{L-1}, the heads
-    (a prefix and one part of r_{L-1}) times that range. It comes as the
-    block's size, then the first head's row as a lazy map, then, built
+    Every batch comes as its size, an int, and then its copies, lazily, so
+    the size can be charged before any copy is built. A batch is the copies
+    with one prefix and one part at the last level, one map of the prefix
+    over the part's list, unless r_L is a leaf and L >= 2. Then the last
+    leaf takes every position from the end of u_{L-1} to the end of t, one
+    range, as each later leaf parts from a above u_{L-1}, with a on the
+    left. So a batch is a block: the copies with one prefix and one
+    u_{L-1}, the heads (a prefix and one part of r_{L-1}) times that range.
+    After its size come the first head's row as a lazy map and then, built
     only when that row is read, one product of the other heads and the
     range, whose pools hold at most the range and the part's list.
     """
@@ -285,7 +284,7 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
         p = p.left
     rights.reverse()
     top = len(rights) - 1
-    # the level that ends a batch's prefix: top for lists, top - 1 for blocks
+    # the level that ends a batch's prefix: top for maps, top - 1 for blocks
     stop = top - 1 if top and rights[top].is_leaf else top
     table, slot = counts or (None, None)
     cols = [1 if r.left is None else slot[id(r)] for r in rights]
@@ -351,7 +350,8 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
                     frames += [(j + 1, pre + c, q - 1) for c in reversed(col)]
                 elif stop == top:
                     col = parts[j][q] or (yield from fill(j, q))
-                    yield [pre + c for c in col]
+                    yield len(col)
+                    yield map(add, repeat(pre), col)
                 else:
                     w, off = path[q]
                     end = off + w.leaf_count
@@ -380,10 +380,10 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     the walk asks for are built by further walks, run from an explicit
     stack, so no Python recursion grows with the host or the pattern; they
     are memoized on object identity, so shared subtrees are listed once,
-    and their running total is charged to the enumeration cap: a list batch
-    by its length, a block by the size the walk gives first, both before
-    they are listed. The copies yielded are not charged; the stream
-    chains the walk's batches, so a block's rows are read at C speed.
+    and their running total is charged to the enumeration cap: each batch
+    by the size the walk gives first, before its copies are built. The
+    copies yielded are not charged; the stream chains the walk's batches,
+    so their rows are read at C speed.
     """
     if pattern.leaf_count <= 2:
         return combinations(range(host.leaf_count), pattern.leaf_count)
@@ -404,16 +404,13 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
                 if cls is tuple:  # a missing list: build it first
                     frames.append((_walk(*item, lists, counts), (id(item[0]), id(item[1])), []))
                     break
-                if cls is int:  # the size of the block that follows
+                if cls is int:  # the size of the batch that follows
                     if out is not None:
                         charged += item
                         check_enumeration(charged)
                 elif out is None:
                     yield item
                 else:
-                    if cls is list:
-                        charged += len(item)
-                        check_enumeration(charged)
                     out += item
             else:
                 frames.pop()

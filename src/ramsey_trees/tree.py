@@ -32,7 +32,6 @@ tree also prints in O(height) steps.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 
@@ -371,21 +370,20 @@ def catalan(m: int) -> int:
     return math.comb(2 * m, m) // (m + 1)
 
 
-@functools.cache
-def _all_trees(n: int) -> tuple[PlaneTree, ...]:
-    if n == 1:
-        return (leaf(),)
-    out: list[PlaneTree] = []
-    for i in range(1, n):
-        for lt in _all_trees(i):
-            for rt in _all_trees(n - i):
-                out.append(node(lt, rt))
-    return tuple(out)
-
-
 def all_trees(n: int) -> tuple[PlaneTree, ...]:
-    """All plane binary trees with exactly n anonymous leaves (Catalan many)."""
+    """All plane binary trees with exactly n anonymous leaves (Catalan many).
+
+    The trees of each size 2..n are built once per call from the smaller
+    sizes', by the size of the left subtree, then the left and the right
+    subtree in their own order, so they share those subtree objects. The
+    call keeps nothing: two calls share no tree.
+    """
     _require_int("leaf count", n)
     check_leaves(n)
     check_enumeration(catalan(n - 1))
-    return _all_trees(n)
+    by_size = [(), (leaf(),)]
+    for m in range(2, n + 1):
+        by_size.append(tuple([
+            node(lt, rt) for i in range(1, m) for lt in by_size[i] for rt in by_size[m - i]
+        ]))
+    return by_size[n]

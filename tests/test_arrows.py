@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import inspect
@@ -372,8 +373,9 @@ def _backtracker(host, target, pattern, k, max_nodes, poll=lambda nodes: None):
 def test_search_arrow_pinned_path_when_unknown():
     # The backtracker's path on queries it leaves unknown is pinned by
     # (nodes, depth d, the colors of depths 0..d-1) at every poll and where
-    # it stops at its limit, read from its frame; construction and the
-    # schedule's poll before the search are recorded without a depth.
+    # it stops at its limit, read from its frame; construction, the
+    # schedule's poll before the search and the backtracker's index build
+    # are recorded without a depth.
     # P4 -> (P2)^cherry_2 spends the lookup allowance after about 10k
     # nodes, so its tail pins the lookups that are scanned anew and not
     # stored.
@@ -386,7 +388,7 @@ def test_search_arrow_pinned_path_when_unknown():
 
     def record(nodes, state):
         nonlocal points
-        d = state.get("d")  # unset during construction
+        d = state.get("d") if "color_of" in state else None  # unset before the search
         digest.update(repr((nodes, d, None if d is None else tuple(state["color_of"][:d]))).encode())
         points += 1
 
@@ -399,8 +401,8 @@ def test_search_arrow_pinned_path_when_unknown():
         search = arrows._backtrack(edges, len(variables), k, max_nodes, poll)
         assert next(search) == max_nodes
         record(max_nodes, search.gi_frame.f_locals)
-    assert points == 192
-    assert digest.hexdigest() == "1214fd0d9fe10e87c6fe46ebc71555b866d9ba0636e37084886b49149cbd3b62"
+    assert points == 228
+    assert digest.hexdigest() == "f05af7a97246c7689a2c95123c7d1299a2560eb058c50a7a14f97081196e0648"
 
 
 def test_local_search_pinned_witnesses():
@@ -551,6 +553,45 @@ def test_time_budget_stops_the_flips_at_once(monkeypatch):
     assert v.millis - max_millis < 10, (v.millis, max_millis, v.nodes)
 
 
+def test_time_budget_stops_the_index_build_at_once(monkeypatch):
+    # On P5 -> (P2)^cherry_2 the backtracker builds its index over 16,120
+    # edges, about 15 ms, and polls after every 1024 of them, with 0 nodes,
+    # so a time budget that runs out between two of those polls is overrun
+    # by well under 5 ms. The budget is the time of the 8th of the 15 on a
+    # timed run. The machine's speed can change from one run to the next,
+    # so a pair of runs whose budget ran out elsewhere is made again; a
+    # garbage collection of the suite's heap would add its own pause.
+    host, target = perfect_tree(5), perfect_tree(2)
+    search_arrow = arrows._search_arrow
+    stamps = []  # the time of each poll of the search, the first before it
+
+    def search(variables, edges, k, max_nodes, poll):
+        def timed(nodes):
+            stamps.append(time.monotonic())
+            poll(nodes)
+
+        return search_arrow(variables, edges, k, max_nodes, timed)
+
+    monkeypatch.setattr(arrows, "_search_arrow", search)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            stamps.clear()
+            t0 = time.monotonic()
+            check_arrow(host, target, CHERRY, 2, SearchBudget(max_nodes=500))
+            max_millis = int((stamps[8] - t0) * 1000)
+            stamps.clear()
+            v = check_arrow(host, target, CHERRY, 2, SearchBudget(max_millis=max_millis))
+            if 3 <= len(stamps) <= 16:  # stopped by the build's 2nd to 15th poll
+                break
+    finally:
+        gc.enable()
+    assert 3 <= len(stamps) <= 16, len(stamps)
+    assert (v.status, v.nodes) == ("unknown", 0)
+    assert v.millis - max_millis < 5, (v.millis, max_millis)
+
+
 def test_leaf_arrow_matches_search_oracle():
     # The constraint search decides leaf patterns too and is the oracle here;
     # on P3 and P4 hosts it may run out of nodes, where nothing is compared.
@@ -663,16 +704,27 @@ def test_every_poll_site_stops_the_engines():
         except arrows._OutOfBudget as stop:
             return stop.nodes
 
+    # (engine, arguments, node budget, budgets to sweep past 200 nodes:
+    # either side of the probe, of the flips and of a poll)
     queries = [
         # vertices, witness rebuild and re-verification of the leaf DP
-        (arrows._leaf_arrow, (perfect_tree(9), perfect_tree(5), leaf(), 2), 10_000_000),
+        (arrows._leaf_arrow, (perfect_tree(9), perfect_tree(5), leaf(), 2), 10_000_000, ()),
         # construction, the poll before the search, then a failing query:
         # the probe's 120 nodes and 47 flips, each flip polled
-        (constraints, (perfect_tree(4), perfect_tree(2), CHERRY, 2), 5_000),
+        (constraints, (perfect_tree(4), perfect_tree(2), CHERRY, 2), 5_000, ()),
         # a holding query: the probe, 240 flips, the backtracker to 2048
-        (constraints, (perfect_tree(4), CAT3, CHERRY, 2), 2_048),
+        (constraints, (perfect_tree(4), CAT3, CHERRY, 2), 2_048,
+         (119, 120, 121, 359, 360, 361, 1023, 1025)),
         # the leaf DP's state products, which need an unshared host
-        (arrows._leaf_arrow, (unshared(5), perfect_tree(3), leaf(), 3), 10_000_000),
+        (arrows._leaf_arrow, (unshared(5), perfect_tree(3), leaf(), 3), 10_000_000, ()),
+        # 16,120 edges: construction, the index build and the local
+        # search's setup each poll 15 or 16 times, then the probe's 496
+        # nodes and 2 flips
+        (constraints, (perfect_tree(5), perfect_tree(2), CHERRY, 2), 498, (495, 496, 497)),
+        # a failing query on 1264 edges, polled once in every pass over
+        # them, the final re-check too: the probe's 190 nodes and 23 flips
+        (constraints, (node(perfect_tree(3), node(perfect_tree(2), perfect_tree(3))),
+                       parse_newick("(,(,(,)))"), CHERRY, 2), 5_000, (189, 190, 191)),
     ]
     polls = []  # (nodes, line) of each call
     stop_at = 0  # 0: never raise
@@ -684,7 +736,7 @@ def test_every_poll_site_stops_the_engines():
 
     reached = set()
     full_polls = []
-    for engine, args, max_nodes in queries:
+    for engine, args, max_nodes, marks in queries:
         polls, stop_at = [], 0
         full = outcome(engine, args, max_nodes, poll)
         full_calls = polls
@@ -697,10 +749,10 @@ def test_every_poll_site_stops_the_engines():
             assert polls == full_calls[:stop_at], (engine, stop_at)
             assert stop.value.nodes == polls[-1][0], (engine, stop_at)
         total = full if isinstance(full, int) else full[1]
-        sweep = range(total) if total < 200 else (0, 1, 1024, total - 1)
-        if engine is constraints and total >= 200:
-            # either side of the probe, of the flips and of a poll
-            sweep = (*sweep, 119, 120, 121, 359, 360, 361, 1023, 1025)
+        if total < 200:
+            sweep = range(total)
+        else:
+            sweep = [b for b in (0, 1, 1024, total - 1, *marks) if b < total]
         for budget in sweep:
             with pytest.raises(arrows._OutOfBudget) as stop:
                 engine(*args, budget, lambda nodes: None)
@@ -710,13 +762,15 @@ def test_every_poll_site_stops_the_engines():
     assert full_polls[0] == [1, 3, 6, 11, 18, 27, 33, 37, 39, 40, 40, 40, 40]
     assert full_polls[1] == [0, 0, *range(121, 168)]
     assert full_polls[2] == [0, 0, *range(121, 361), 1024, 2048]
+    assert full_polls[4] == [0] * 32 + [496] * 15 + [497, 498]
+    assert full_polls[5] == [0, 0, 0, 0, 190, *range(191, 214), 213]
     with open(arrows.__file__, encoding="utf-8") as fh:
         sites = {
             n.lineno
             for n in ast.walk(ast.parse(fh.read()))
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "poll"
         }
-    assert len(sites) == 9
+    assert len(sites) == 12
     assert reached == sites
 
 

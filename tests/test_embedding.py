@@ -279,6 +279,28 @@ def test_stream_charges_a_block_before_listing_it():
     finally:
         tracemalloc.stop()
     assert peak < 32_000, peak
+    # A right comb's batch is a map of a prefix over a part's list, charged
+    # the same way. The first list asked for here holds the cherries of P12
+    # from its first leaf, in batches of 1, 2, 4, ..., 512 pairs: the last
+    # batch takes the total to 1023 items and is refused before its pairs
+    # are built. Built before the charge, they would take the peak to 159
+    # KB; most of the 126 KB left is the leaf columns the batches map over,
+    # one 1-tuple per leaf. A tuple reused from CPython's free lists was
+    # allocated before tracing began and is not counted, so the peak would
+    # depend on the tests run before this one; holding these empties those
+    # lists.
+    held = [tuple(range(i, i + n)) for n in (1, 2, 3) for i in range(4096)]
+    pattern = parse_newick("(,(,(,)))")
+    counts = _count_table(host, pattern)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="1023 items"):
+            next(_copies(host, pattern, counts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del held
+    assert peak < 144_000, peak
 
 
 def test_first_copy_of_a_leaf_tailed_pattern_is_cheap():

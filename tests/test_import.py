@@ -13,6 +13,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -54,6 +55,21 @@ def test_no_file_imports_numpy():
     assert len(files) > 15
     for path in files:
         assert "numpy" not in _top_level_imports(path), path
+
+
+def test_every_file_parses_at_the_declared_python_floor():
+    """Every .py file under src/, tests/ and demos/ parses with the grammar
+    of the oldest Python that pyproject.toml's requires-python admits. This
+    checks grammar only, not the standard-library names a file uses. The
+    floor is read with a regex, as tomllib is new in 3.11."""
+    root = SRC.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    version = (int(floor[1]), int(floor[2]))
+    files = [p for d in ("src", "tests", "demos") for p in sorted((root / d).rglob("*.py"))]
+    assert len(files) > 25
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def test_no_package_module_imports_dataclasses():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -291,6 +292,21 @@ def test_all_trees_counts_and_distinctness():
         assert len(ts) == want == catalan(n - 1)
         assert all(t.leaf_count == n for t in ts)
         assert len({shape_key(t) for t in ts}) == want
+    # Each call builds its trees afresh, and keeps none once they are dropped.
+    assert all_trees(5)[0] is not all_trees(5)[0]
+    tracemalloc.start()
+    try:
+        assert len(all_trees(10)) == 4862
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert left < 64 * 1024, left
+    # the trees of up to 9 leaves and their order
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for t in all_trees(n):
+            digest.update(to_newick(t).encode() + b";")
+    assert digest.hexdigest()[:16] == "e0f53e65e326d269"
 
 
 def test_leaf_guard_blocks_big_constructions():
