@@ -42,6 +42,7 @@ _SUBMODULE = {
             "iso",
             "iterate",
             "leaf",
+            "leaf_labels",
             "node",
             "parse_newick",
             "perfect_tree",
@@ -59,7 +60,6 @@ _SUBMODULE = {
             "format_copy",
             "induced_subtree",
             "is_copy",
-            "leaf_labels",
             "leaf_lca_depth",
             "parse_copy",
             "validate_copy",

@@ -25,7 +25,7 @@ from .tree import PlaneTree, _postorder, iso, parse_newick, perfect_tree, to_new
 from .embedding import (
     CopyRef,
     _copies,
-    _target_splits,
+    _split_plan,
     count_copies,
     enumerate_copies,
     induced_subtree,
@@ -44,8 +44,9 @@ class SearchBudget(_Value):
     it is one state of the dynamic program. Every engine polls the time
     at least every 1024 nodes, and the local search at every flip; the
     constraint path also polls after every 1024 edges of each pass over
-    them: its index build, the local search's setup and the final re-check
-    of a bad coloring."""
+    them: the backtracker's degree count and index build, the local
+    search's setup and the final re-check of a bad coloring, and after
+    every 1024 watch entries that the backtracker's lookups scan."""
 
     _fields = ("max_nodes", "max_millis")
 
@@ -210,9 +211,9 @@ def _search_arrow(
     coloring of either engine passes _nae_check before it is returned.
     poll is called with 0 before the search starts, then every 1024
     backtracker nodes and at every flip, and with the node count so far
-    after every 1024 edges of the backtracker's index build, of the local
-    search's setup and of _nae_check. A budget of 0 nodes stops before the
-    backtracker builds its index.
+    after every 1024 edges of each pass over the edges and every 1024 watch
+    entries the backtracker's lookups scan. A budget of 0 nodes stops
+    before the backtracker builds its index.
     """
     poll(0)
     if max_nodes == 0:
@@ -257,8 +258,9 @@ def _backtrack(
     order, and the first variable is pinned to color 0 (sound by
     color-permutation symmetry). The bad coloring is the first that order
     encounters; a node is one color tried for one variable. poll is called
-    with 0 after every 1024 edges of the index build, then every 1024
-    nodes.
+    with 0 after every 1024 edges of the degree count and of the index
+    build, then every 1024 nodes, and with the node count once the lookups
+    below have scanned 1024 more watch entries.
 
     The order is static. The search names each variable by its depth d in
     it, so when d gets a color the assigned variables are exactly 0..d. A
@@ -290,7 +292,11 @@ def _backtrack(
     bitmask of the variables holding it, and the untried colors are a list
     indexed by depth.
     """
-    degree = Counter(itertools.chain.from_iterable(edges))
+    degree, rest = Counter(), iter(edges)
+    for _ in range(len(edges) >> 10):
+        degree.update(itertools.chain.from_iterable(itertools.islice(rest, 1024)))
+        poll(0)
+    degree.update(itertools.chain.from_iterable(rest))
     order = sorted(range(m), key=lambda v: (-degree[v], v))
     # From here on a variable is named by its depth d in the order.
     bit = [1 << d for d in range(m)]
@@ -316,6 +322,7 @@ def _backtrack(
     # losers[d]: key -> the distinct watched last members that lose the color
     losers: list[dict[int, list[int]]] = [{} for _ in range(m)]
     room = _LOOKUP_ALLOWANCE * (len(edges) + m)
+    scanned = 0  # watch entries scanned by lookups, modulo 1024
 
     domain = [(1 << k) - 1] * m
     domain[0] = 1  # symmetry: the first decision variable gets color 0
@@ -356,6 +363,10 @@ def _backtrack(
             room -= 1 + len(hit)
             if room >= 0:
                 losers[d][key] = hit
+            scanned += len(watch[d])
+            if scanned > 1023:
+                scanned &= 1023
+                poll(nodes)
         cut = []
         for u in hit:
             old = domain[u]
@@ -518,16 +529,18 @@ def _leaf_arrow(
     of target and target is not a leaf.
 
     The state of a host subtree under a leaf coloring is a tuple of k
-    bitmasks, one per color, of the target subtree shapes that embed in the
-    leaves of that color. A shape embeds in a vertex's leaves of one color
-    when it embeds in one child's or splits at the vertex, its left child
-    shape into the left child and its right into the right (the split rule
-    of count_copies). Colors are interchangeable, so states are kept
-    sorted; a vertex's states combine each pair of child states under every
-    distinct rearrangement of the right one, and a state in which the whole
-    target embeds is dropped. The arrow fails iff the root keeps a state,
-    and the bad coloring is rebuilt from back-pointers, colors numbered by
-    first appearance, and re-verified by counting.
+    bitmasks, one per color, of the slots of _split_plan(target) that embed
+    in the leaves of that color; bit 1 is the leaf. A subtree embeds in a
+    vertex's leaves of one color when it embeds in one child's or splits at
+    the vertex, its left child into the left child and its right into the
+    right (the split rule of count_copies). Subtrees of one shape share
+    their bit's value, so an unshared target has the same states, only
+    wider. Colors are interchangeable, so states are kept sorted; a
+    vertex's states combine each pair of child states under every distinct
+    rearrangement of the right one, and a state in which the whole target
+    embeds is dropped. The arrow fails iff the root keeps a state, and the
+    bad coloring is rebuilt from back-pointers, colors numbered by first
+    appearance, and re-verified by counting.
 
     A node is one distinct state recorded for one host vertex. Vertices are
     solved in the _postorder of host, so shared subtrees are solved once,
@@ -537,9 +550,9 @@ def _leaf_arrow(
     1024 steps, and while the bad coloring is rebuilt and re-verified.
     """
     n = host.leaf_count
-    splits, full = _target_splits(target)
-    splits = [(1 << s, 1 << a, 1 << b) for s, a, b in splits]
-    full = 1 << full
+    plan, _, slot = _split_plan(target)
+    splits = [(1 << s, 1 << a, 1 << b) for s, a, b in plan[2:]]
+    full = 1 << slot[id(target)]
     grown: dict[tuple[int, int], int] = {}
 
     def combine(left: tuple[int, ...], right: tuple[int, ...]) -> list[int] | None:
@@ -566,7 +579,7 @@ def _leaf_arrow(
     # memo[key] maps each state of that vertex to its back-pointer (left
     # state, right state, rearranged right state); the leaf's one state,
     # the first node, maps to None.
-    memo: dict[int, dict[tuple[int, ...], tuple | None]] = {0: {(0,) * (k - 1) + (1,): None}}
+    memo: dict[int, dict[tuple[int, ...], tuple | None]] = {0: {(0,) * (k - 1) + (2,): None}}
     rearranged: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     nodes = 1
     steps = 0

@@ -17,7 +17,7 @@ enumeration cap counts only the lists the stream builds on the way.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 
 from .errors import FormatError
@@ -27,7 +27,7 @@ from .embedding import (
     CopyRef,
     _copies,
     _parting,
-    _target_splits,
+    _split_plan,
     enumerate_copies,
     induced_subtree,
     is_copy,
@@ -169,25 +169,24 @@ def _least_leafwise(
     has, in post-order from an explicit stack, over the tree those leaves
     induce in host: a vertex is visited only where they part, as in
     induced_subtree, and a path where they do not part is skipped, so the
-    copies come out in host positions. A vertex v gets, for each shape s of
-    _target_splits(target) with at most as many leaves as v holds of the
-    value, the least copy least(s, v) of s among them, or None. That is the
+    copies come out in host positions. A vertex v gets, for each slot s of
+    _split_plan(target) with at most as many leaves as v holds of the
+    value, the least copy least(s, v) of s among them, or None; the plan is
+    sorted by leaf count, so those slots are one slice of it. That is the
     smaller of least(s, v.left) and least(a, v.left) + least(b, v.right), a
-    and b the shapes of s's children, where they exist; if neither does, it
+    and b the slots of s's children, where they exist; if neither does, it
     is least(s, v.right). Every left position comes before every right one,
     so concatenation keeps the order. Values are taken in the order of
     their first leaf, and the passes stop once the best copy so far starts
     before the next value's first leaf. The answer is re-checked, under
     python -O too, before it is returned.
     """
-    splits, whole = _target_splits(target)
-    size = [1] * (len(splits) + 1)
-    for s, a, b in splits:
-        size[s] = size[a] + size[b]
-    # by the number of leaves of the value below a vertex: the splits of
-    # the shapes that fit them
-    plans: dict[int, list[tuple[int, int, int]]] = {}
-    rest = [None] * len(splits)
+    plan, sizes, slot = _split_plan(target)
+    whole = slot.get(id(target), 1)
+    # by the number of leaves of the value below a vertex: the internal
+    # slots that fit them
+    fitting: dict[int, list[tuple[int, int, int]]] = {}
+    rest = [None] * (len(plan) - 2)
     groups: dict = {}
     for x in leaves:
         groups.setdefault(value_of((x,)), []).append(x)
@@ -204,13 +203,13 @@ def _least_leafwise(
         while stack:
             item = stack.pop()
             if item.__class__ is int:
-                plan = plans.get(item)
-                if plan is None:
-                    plan = plans[item] = [e for e in splits if size[e[0]] <= item]
+                fits = fitting.get(item)
+                if fits is None:
+                    fits = fitting[item] = plan[2:bisect_right(sizes, item)]
                 r = out.pop()
                 l = out[-1]
                 least = l[:]
-                for s, a, b in plan:
+                for s, a, b in fits:
                     x, y = l[a], r[b]
                     if x is not None and y is not None:
                         x += y
@@ -223,7 +222,7 @@ def _least_leafwise(
             v, lo, i, j = item
             v, lo, _ = _parting(v, lo, pos[i], pos[j - 1])
             if v.left is None:
-                out.append([(lo,)] + rest)
+                out.append([None, (lo,)] + rest)
             else:
                 mid = lo + v.left.leaf_count
                 k = bisect_left(pos, mid, i, j)

@@ -42,19 +42,6 @@ def _parting(v: PlaneTree, lo: int, a: int, b: int) -> tuple[PlaneTree, int, int
     return v, lo, depth
 
 
-def leaf_labels(t: PlaneTree) -> list[str | None]:
-    """Labels of the leaves of t in left-to-right order."""
-    labels: list[str | None] = []
-    stack = [t]
-    while stack:
-        v = stack.pop()
-        if v.is_leaf:
-            labels.append(v.label)
-        else:
-            stack.extend((v.right, v.left))
-    return labels
-
-
 def leaf_lca_depth(t: PlaneTree, a: int, b: int) -> int:
     """Depth of the LCA of two distinct leaf positions."""
     a, b = validate_copy(t, (a, b))
@@ -145,41 +132,49 @@ def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
     if pattern.leaf_count > host.leaf_count:
         return 0
     table, slot = _count_table(host, pattern)
-    return _count(table, host, slot[id(pattern)])
+    return _count(table, host, slot.get(id(pattern), 1))
 
 
-def _count_table(host: PlaneTree, pattern: PlaneTree) -> tuple[_Table, dict[int, int]]:
-    """The copy counts of the pattern's vertices in the host's vertices.
-
-    slot maps id() of each distinct internal pattern vertex to its slot,
-    from 2 in order of leaf count; every leaf is slot 1, and slot 0 always
-    holds 0. A copy of pattern vertex p inside host vertex v can be part of
-    a copy of the pattern only if the pattern's other leaves fit outside v,
-    so v counts the window of slots with leaf_count(v) - slack <=
-    leaf_count(p) <= leaf_count(v), slack = leaf_count(host) -
-    leaf_count(pattern). table maps id() of each distinct host vertex to
-    (lo, vec), the counts of slots lo, lo + 1, ...; _count reads 0 outside
-    them. vec is one list comprehension over the plan entries (i, a, b) of
-    v's window, the split rule of count_copies: slot i with children slots
-    a and b has l[i] + r[i] + l[a] * r[b] copies, where l and r are the
-    children's counts and a leaf has a = b = 0, so it counts host leaves.
-    A count in the window is exact: each term it reads is in the child's
-    window, or is 0 as a part does not fit, or is a factor whose partner
-    does not fit. So a small pattern is counted in every slot, and a
-    pattern as large as the host in one window per leaf count, which keeps
-    a deep pattern in itself linear in memory. A child's window starts at
-    or below v's, so a child whose window does not start at slot 0 is read
-    through its offset, and only the tail of a child's counts is ever
-    padded with zeros: a deep pattern in itself then costs time linear in
-    the host too. For a leaf pattern the table holds only the host root.
-    """
-    if pattern.left is None:
-        return {id(host): (0, [0, host.leaf_count])}, {id(pattern): 1}
+def _split_plan(pattern: PlaneTree) -> tuple[list[tuple[int, int, int]], list[int], dict[int, int]]:
+    """(plan, sizes, slot): the one numbering of pattern's subtrees that
+    every pass of the split rule reads. Slot 0 fits nowhere, slot 1 is the
+    leaf, and the distinct internal vertices, not shapes, take slots from 2
+    in order of leaf count. plan holds one entry (i, a, b) per slot i, a and
+    b its children's slots (0 for a leaf's); sizes[i] is slot i's leaf
+    count; slot maps id() of each internal vertex to its slot."""
     inner = sorted((p for p in _postorder(pattern) if p.left is not None), key=_leaf_count)
     slot = {id(p): i for i, p in enumerate(inner, 2)}
     plan = [(0, 0, 0), (1, 0, 0)] + [(i, slot.get(id(p.left), 1), slot.get(id(p.right), 1))
                                      for i, p in enumerate(inner, 2)]
-    sizes = [0, 1] + [p.leaf_count for p in inner]
+    return plan, [0, 1] + [p.leaf_count for p in inner], slot
+
+
+def _count_table(host: PlaneTree, pattern: PlaneTree) -> tuple[_Table, dict[int, int]]:
+    """The copy counts of _split_plan(pattern)'s slots in host's vertices, and its slot map.
+
+    A copy of pattern vertex p inside host vertex v can be part of a copy
+    of the pattern only if the pattern's other leaves fit outside v, so v
+    counts the window of slots with leaf_count(v) - slack <= leaf_count(p)
+    <= leaf_count(v), slack = leaf_count(host) - leaf_count(pattern). table
+    maps id() of each distinct host vertex to (lo, vec), the counts of
+    slots lo, lo + 1, ...; _count reads 0 outside them. vec is one list
+    comprehension over the plan entries (i, a, b) of v's window, the split
+    rule of count_copies: slot i with children slots a and b has l[i] +
+    r[i] + l[a] * r[b] copies, where l and r are the children's counts and
+    a leaf has a = b = 0, so it counts host leaves. A count in the window
+    is exact: each term it reads is in the child's window, or is 0 as a
+    part does not fit, or is a factor whose partner does not fit. So a
+    small pattern is counted in every slot, and a pattern as large as the
+    host in one window per leaf count, which keeps a deep pattern in itself
+    linear in memory. A child's window starts at or below v's, so a child
+    whose window does not start at slot 0 is read through its offset, and
+    only the tail of a child's counts is ever padded with zeros: a deep
+    pattern in itself then costs time linear in the host too. For a leaf
+    pattern the table holds only the host root.
+    """
+    if pattern.left is None:
+        return {id(host): (0, [0, host.leaf_count])}, {}
+    plan, sizes, slot = _split_plan(pattern)
     slack = host.leaf_count - pattern.leaf_count
     zeros = [0] * len(plan)
     # every host leaf: one vector of the true counts of all slots
@@ -228,28 +223,11 @@ def _count(table: _Table, v: PlaneTree, k: int) -> int:
     return vec[k - lo] if lo <= k < lo + len(vec) else 0
 
 
-def _target_splits(target: PlaneTree) -> tuple[list[tuple[int, int, int]], int]:
-    """One number per distinct subtree shape of target; the leaf shape is 0.
-
-    Returns one (shape, left child shape, right child shape) triple per
-    internal shape, numbered from 1 in the _postorder of target, so that a
-    shape comes after its children's, and the number of target's own shape.
-    """
-    index: dict[tuple[int, int], int] = {}
-    shape: dict[int, int] = {}
-    for v in _postorder(target):
-        shape[id(v)] = 0 if v.left is None else index.setdefault(
-            (shape[id(v.left)], shape[id(v.right)]), len(index) + 1
-        )
-    return [(s, a, b) for (a, b), s in index.items()], shape[id(target)]
-
-
 def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     """Batches of the copies of an internal p in t, in t's positions and in
     lexicographic order; a pair (w, r) instead when it needs the copies of r
     in a subtree w that lists, keyed (id(w), id(r)), lacks. counts is the
-    _count_table of a host and a pattern that hold t and p, or None when
-    p's left spine has only leaves as right children.
+    _count_table of a host and a pattern that hold t and p.
 
     Let r_1, ..., r_L be the right children up p's left spine, lowest first.
     A copy is a first leaf a and, for each i, a copy of r_i in the right
@@ -286,8 +264,8 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     top = len(rights) - 1
     # the level that ends a batch's prefix: top for maps, top - 1 for blocks
     stop = top - 1 if top and rights[top].is_leaf else top
-    table, slot = counts or (None, None)
-    cols = [1 if r.left is None else slot[id(r)] for r in rights]
+    table, slot = counts
+    cols = [slot.get(id(r), 1) for r in rights]
     # path: (right child, its first position) of each ancestor holding the
     # current leaf in its left child, highest first. parts[j][q]: the copies
     # of rights[j] there in t's positions, None until needed; leaf patterns
@@ -374,25 +352,20 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
 
     Every set of one or two leaves is a copy of the one- or two-leaf tree,
     so those come from itertools.combinations. Any larger pattern's come
-    from one _walk over the host, reading one count table, built here
-    unless the caller passes _count_table(host, pattern) as counts; a left
-    comb needs none, as its parts are single leaves. The copy lists
-    the walk asks for are built by further walks, run from an explicit
-    stack, so no Python recursion grows with the host or the pattern; they
-    are memoized on object identity, so shared subtrees are listed once,
-    and their running total is charged to the enumeration cap: each batch
-    by the size the walk gives first, before its copies are built. The
-    copies yielded are not charged; the stream chains the walk's batches,
-    so their rows are read at C speed.
+    from one _walk over the host, reading one count table: the caller's
+    _count_table(host, pattern), passed as counts, or one built here. The
+    copy lists the walk asks for are built by further walks, run from an
+    explicit stack, so no Python recursion grows with the host or the
+    pattern; they are memoized on object identity, so shared subtrees are
+    listed once, and their running total is charged to the enumeration
+    cap: each batch by the size the walk gives first, before its copies
+    are built. The copies yielded are not charged; the stream chains the
+    walk's batches, so their rows are read at C speed.
     """
     if pattern.leaf_count <= 2:
         return combinations(range(host.leaf_count), pattern.leaf_count)
     lists: dict[tuple[int, int], list[CopyRef]] = {}
-    spine = pattern
-    while spine.left is not None and spine.right.left is None:
-        spine = spine.left
-    if counts is None and spine.left is not None:
-        counts = _count_table(host, pattern)
+    counts = counts or _count_table(host, pattern)
 
     def batches():
         charged = 0
@@ -428,5 +401,5 @@ def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
     count table serves the cap check and the stream.
     """
     table, slot = counts = _count_table(host, pattern)
-    check_enumeration(_count(table, host, slot[id(pattern)]))
+    check_enumeration(_count(table, host, slot.get(id(pattern), 1)))
     return list(_copies(host, pattern, counts))

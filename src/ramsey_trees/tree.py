@@ -298,6 +298,19 @@ def shape_key(t: PlaneTree) -> str:
     return _write(t, False)
 
 
+def leaf_labels(t: PlaneTree) -> list[str | None]:
+    """Labels of the leaves of t in left-to-right order."""
+    labels: list[str | None] = []
+    stack = [t]
+    while stack:
+        v = stack.pop()
+        if v.is_leaf:
+            labels.append(v.label)
+        else:
+            stack.extend((v.right, v.left))
+    return labels
+
+
 def _same(a: PlaneTree, b: PlaneTree, labels: bool) -> bool:
     """a and b have the same ordered shape and, if labels, the same leaf labels.
 

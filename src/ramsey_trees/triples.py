@@ -31,8 +31,7 @@ from operator import itemgetter
 
 from .errors import InconsistentTriplesError, FormatError
 from .limits import _Value, check_enumeration
-from .tree import PlaneTree, _check_label, leaf, node
-from .embedding import leaf_labels
+from .tree import PlaneTree, _check_label, leaf, leaf_labels, node
 
 Triple = tuple[str, str, str]
 

@@ -374,8 +374,8 @@ def test_search_arrow_pinned_path_when_unknown():
     # The backtracker's path on queries it leaves unknown is pinned by
     # (nodes, depth d, the colors of depths 0..d-1) at every poll and where
     # it stops at its limit, read from its frame; construction, the
-    # schedule's poll before the search and the backtracker's index build
-    # are recorded without a depth.
+    # schedule's poll before the search and the backtracker's degree count
+    # and index build are recorded without a depth.
     # P4 -> (P2)^cherry_2 spends the lookup allowance after about 10k
     # nodes, so its tail pins the lookups that are scanned anew and not
     # stored.
@@ -401,8 +401,8 @@ def test_search_arrow_pinned_path_when_unknown():
         search = arrows._backtrack(edges, len(variables), k, max_nodes, poll)
         assert next(search) == max_nodes
         record(max_nodes, search.gi_frame.f_locals)
-    assert points == 228
-    assert digest.hexdigest() == "f05af7a97246c7689a2c95123c7d1299a2560eb058c50a7a14f97081196e0648"
+    assert points == 315
+    assert digest.hexdigest() == "d7697324a5e6809f655053770650c9e30bc3db7c1cf6b248af476a2cc3344ea8"
 
 
 def test_local_search_pinned_witnesses():
@@ -554,13 +554,15 @@ def test_time_budget_stops_the_flips_at_once(monkeypatch):
 
 
 def test_time_budget_stops_the_index_build_at_once(monkeypatch):
-    # On P5 -> (P2)^cherry_2 the backtracker builds its index over 16,120
-    # edges, about 15 ms, and polls after every 1024 of them, with 0 nodes,
-    # so a time budget that runs out between two of those polls is overrun
-    # by well under 5 ms. The budget is the time of the 8th of the 15 on a
-    # timed run. The machine's speed can change from one run to the next,
-    # so a pair of runs whose budget ran out elsewhere is made again; a
-    # garbage collection of the suite's heap would add its own pause.
+    # On P5 -> (P2)^cherry_2 the backtracker counts degrees over 16,120
+    # edges, then builds its index over them, about 15 ms, and polls after
+    # every 1024 of them in each pass, with 0 nodes, so a time budget that
+    # runs out between two of those polls is overrun by well under 5 ms.
+    # The budget is the time of the 8th of the index build's 15 polls, the
+    # 24th poll of the search, on a timed run. The machine's speed can
+    # change from one run to the next, so a pair of runs whose budget ran
+    # out elsewhere is made again; a garbage collection of the suite's heap
+    # would add its own pause.
     host, target = perfect_tree(5), perfect_tree(2)
     search_arrow = arrows._search_arrow
     stamps = []  # the time of each poll of the search, the first before it
@@ -580,14 +582,14 @@ def test_time_budget_stops_the_index_build_at_once(monkeypatch):
             stamps.clear()
             t0 = time.monotonic()
             check_arrow(host, target, CHERRY, 2, SearchBudget(max_nodes=500))
-            max_millis = int((stamps[8] - t0) * 1000)
+            max_millis = int((stamps[23] - t0) * 1000)
             stamps.clear()
             v = check_arrow(host, target, CHERRY, 2, SearchBudget(max_millis=max_millis))
-            if 3 <= len(stamps) <= 16:  # stopped by the build's 2nd to 15th poll
+            if 18 <= len(stamps) <= 31:  # stopped by the build's 2nd to 15th poll
                 break
     finally:
         gc.enable()
-    assert 3 <= len(stamps) <= 16, len(stamps)
+    assert 18 <= len(stamps) <= 31, len(stamps)
     assert (v.status, v.nodes) == ("unknown", 0)
     assert v.millis - max_millis < 5, (v.millis, max_millis)
 
@@ -717,12 +719,14 @@ def test_every_poll_site_stops_the_engines():
          (119, 120, 121, 359, 360, 361, 1023, 1025)),
         # the leaf DP's state products, which need an unshared host
         (arrows._leaf_arrow, (unshared(5), perfect_tree(3), leaf(), 3), 10_000_000, ()),
-        # 16,120 edges: construction, the index build and the local
-        # search's setup each poll 15 or 16 times, then the probe's 496
-        # nodes and 2 flips
+        # 16,120 edges: construction, the degree count, the index build
+        # and the local search's setup each poll 15 or 16 times, and the
+        # probe's 496 nodes 13 times as their lookups scan watch entries;
+        # then 2 flips
         (constraints, (perfect_tree(5), perfect_tree(2), CHERRY, 2), 498, (495, 496, 497)),
         # a failing query on 1264 edges, polled once in every pass over
-        # them, the final re-check too: the probe's 190 nodes and 23 flips
+        # them, the final re-check too, and once by the lookups of the
+        # probe's 190 nodes, then 23 flips
         (constraints, (node(perfect_tree(3), node(perfect_tree(2), perfect_tree(3))),
                        parse_newick("(,(,(,)))"), CHERRY, 2), 5_000, (189, 190, 191)),
     ]
@@ -762,15 +766,16 @@ def test_every_poll_site_stops_the_engines():
     assert full_polls[0] == [1, 3, 6, 11, 18, 27, 33, 37, 39, 40, 40, 40, 40]
     assert full_polls[1] == [0, 0, *range(121, 168)]
     assert full_polls[2] == [0, 0, *range(121, 361), 1024, 2048]
-    assert full_polls[4] == [0] * 32 + [496] * 15 + [497, 498]
-    assert full_polls[5] == [0, 0, 0, 0, 190, *range(191, 214), 213]
+    assert full_polls[4] == [0] * 47 + [265, 274, 282, 291, 299, 308, 316, 330, 348, 366, 384,
+                                        397, 411] + [496] * 15 + [497, 498]
+    assert full_polls[5] == [0, 0, 0, 0, 0, 189, 190, *range(191, 214), 213]
     with open(arrows.__file__, encoding="utf-8") as fh:
         sites = {
             n.lineno
             for n in ast.walk(ast.parse(fh.read()))
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "poll"
         }
-    assert len(sites) == 12
+    assert len(sites) == 14
     assert reached == sites
 
 
@@ -855,10 +860,15 @@ def test_search_lookup_memory_is_bounded_by_the_constraints():
 
 
 def test_leaf_arrow_rechecks_its_witness(monkeypatch):
-    # With no split rule the DP sees no target anywhere and returns a
-    # coloring of P2 whose re-check finds a cherry in one color.
-    splits = arrows._target_splits
-    monkeypatch.setattr(arrows, "_target_splits", lambda t: ([], splits(t)[1]))
+    # With no internal plan entry the DP sees no target anywhere and returns
+    # a coloring of P2 whose re-check finds a cherry in one color.
+    split_plan = arrows._split_plan
+
+    def no_internal(t):
+        plan, sizes, slot = split_plan(t)
+        return plan[:2], sizes, slot
+
+    monkeypatch.setattr(arrows, "_split_plan", no_internal)
     with pytest.raises(RuntimeError, match="bad leaf coloring has a copy of the target"):
         check_arrow(perfect_tree(2), CHERRY, leaf(), 2)
 
@@ -867,8 +877,11 @@ def test_leaf_arrow_recheck_runs_under_optimize():
     # python -O strips assert statements; the re-check must still run.
     script = (
         "from ramsey_trees import arrows, check_arrow, leaf, parse_newick, perfect_tree\n"
-        "splits = arrows._target_splits\n"
-        "arrows._target_splits = lambda t: ([], splits(t)[1])\n"
+        "split_plan = arrows._split_plan\n"
+        "def no_internal(t):\n"
+        "    plan, sizes, slot = split_plan(t)\n"
+        "    return plan[:2], sizes, slot\n"
+        "arrows._split_plan = no_internal\n"
         "try:\n"
         "    check_arrow(perfect_tree(2), parse_newick('(,)'), leaf(), 2)\n"
         "except RuntimeError as e:\n"

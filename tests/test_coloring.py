@@ -213,15 +213,15 @@ def test_leaf_pass_matches_brute_force():
 
 
 def test_leaf_pass_rechecks_its_answer(monkeypatch):
-    # With each split's child shapes swapped, the pass builds (,(,)) where
-    # ((,),) is asked for; the re-check finds it is not a copy.
-    splits = coloring._target_splits
+    # With each plan entry's child slots swapped, the pass builds (,(,))
+    # where ((,),) is asked for; the re-check finds it is not a copy.
+    split_plan = coloring._split_plan
 
     def swapped(t):
-        inner, whole = splits(t)
-        return [(s, b, a) for s, a, b in inner], whole
+        plan, sizes, slot = split_plan(t)
+        return [(s, b, a) for s, a, b in plan], sizes, slot
 
-    monkeypatch.setattr(coloring, "_target_splits", swapped)
+    monkeypatch.setattr(coloring, "_split_plan", swapped)
     with pytest.raises(RuntimeError, match=r"leaf pass returned \[0, 2, 3\], not a copy"):
         find_mono_copy(leafchi([0, 0, 0, 0]), CAT3)
 
@@ -231,8 +231,11 @@ def test_leaf_pass_recheck_runs_under_optimize():
     script = (
         "from ramsey_trees import coloring, find_mono_copy, parse_newick, perfect_tree\n"
         "from ramsey_trees import Coloring\n"
-        "splits = coloring._target_splits\n"
-        "coloring._target_splits = lambda t: ([(s, b, a) for s, a, b in splits(t)[0]], splits(t)[1])\n"
+        "split_plan = coloring._split_plan\n"
+        "def swapped(t):\n"
+        "    plan, sizes, slot = split_plan(t)\n"
+        "    return [(s, b, a) for s, a, b in plan], sizes, slot\n"
+        "coloring._split_plan = swapped\n"
         "chi = Coloring.from_leaf_colors(perfect_tree(2), [0, 0, 0, 0], 1)\n"
         "try:\n"
         "    find_mono_copy(chi, parse_newick('((,),)'))\n"

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramsey_trees import (
+    Coloring,
     FormatError,
     ResourceLimitError,
     all_trees,
+    check_arrow,
     count_copies,
     enumerate_copies,
+    find_mono_copy,
     format_copy,
     induced_subtree,
     is_copy,
@@ -268,16 +271,19 @@ def test_stream_charges_a_block_before_listing_it():
     # < 4098, of 4096 caterpillars: over the cap, it is refused before any
     # of it is listed.
     host = node(leaf(), node(perfect_tree(1), perfect_tree(12)))
-    pattern = parse_newick("(,((,),))")
-    counts = _count_table(host, pattern)
+
+    def refused(pattern, match):
+        # the traced peak of a first copy that the cap refuses
+        counts = _count_table(host, pattern)
+
+        def first():
+            with pytest.raises(ResourceLimitError, match=match):
+                next(_copies(host, pattern, counts))
+
+        return _traced(first)[1]
+
     set_max_enumeration(1000)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError, match="4096 items"):
-            next(_copies(host, pattern, counts))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = refused(parse_newick("(,((,),))"), "4096 items")
     assert peak < 32_000, peak
     # A right comb's batch is a map of a prefix over a part's list, charged
     # the same way. The first list asked for here holds the cherries of P12
@@ -285,21 +291,8 @@ def test_stream_charges_a_block_before_listing_it():
     # batch takes the total to 1023 items and is refused before its pairs
     # are built. Built before the charge, they would take the peak to 159
     # KB; most of the 126 KB left is the leaf columns the batches map over,
-    # one 1-tuple per leaf. A tuple reused from CPython's free lists was
-    # allocated before tracing began and is not counted, so the peak would
-    # depend on the tests run before this one; holding these empties those
-    # lists.
-    held = [tuple(range(i, i + n)) for n in (1, 2, 3) for i in range(4096)]
-    pattern = parse_newick("(,(,(,)))")
-    counts = _count_table(host, pattern)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceLimitError, match="1023 items"):
-            next(_copies(host, pattern, counts))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    del held
+    # one 1-tuple per leaf.
+    peak = refused(parse_newick("(,(,(,)))"), "1023 items")
     assert peak < 144_000, peak
 
 
@@ -307,14 +300,11 @@ def test_first_copy_of_a_leaf_tailed_pattern_is_cheap():
     # A block's first row is lazy, and the product of its other rows, whose
     # pools hold a range of positions, is built only once that row is read:
     # taking the whole block as one product holds 2.6 MB and 366 KB here.
+    # The peak includes the count table the stream builds.
     for height, text, first in ((16, "((,),)", (0, 1, 2)), (12, "((,(,)),)", (0, 2, 3, 4))):
         host, pattern = perfect_tree(height), parse_newick(text)
-        tracemalloc.start()
-        try:
-            assert next(_copies(host, pattern)) == first
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = _traced(lambda: next(_copies(host, pattern)))
+        assert got == first
         assert peak < 32_000, (height, text, peak)
 
 
@@ -361,6 +351,45 @@ def test_counts_do_not_depend_on_sharing(d):
         assert count_copies(shared, p) == count_copies(apart, p), (d, p)
 
 
+def _rebuilt(t):
+    """t with every vertex a new object, so no subtree is shared."""
+    return leaf() if t.is_leaf else node(_rebuilt(t.left), _rebuilt(t.right))
+
+
+def test_answers_do_not_depend_on_how_a_target_shares_subtrees():
+    # The split plan numbers a target's vertex objects, not its shapes:
+    # all_trees shares equal subtrees, and a rebuilt target has a slot for
+    # each of them. Counts, the copy stream, the leaf DP and the leaf pass
+    # must give the same answers on both.
+    targets = [(t, _rebuilt(t)) for m in range(2, 6) for t in all_trees(m)]
+    hosts = [h for n in range(1, 8) for h in all_trees(n)]
+    statuses, found = set(), 0
+    for target, apart in targets:
+        for host in hosts:
+            assert count_copies(host, target) == count_copies(host, apart), (host, target)
+            assert enumerate_copies(host, target) == enumerate_copies(host, apart), (host, target)
+        for host in (h for h in hosts if 2 <= h.leaf_count <= 6):
+            for k in (2, 3):
+                v, w = (check_arrow(host, t, leaf(), k) for t in (target, apart))
+                assert (v.status, v.nodes, v.witness) == (w.status, w.nodes, w.witness), (
+                    host, target, k)
+                statuses.add(v.status)
+    rng = random.Random(30)
+    for host in (perfect_tree(4), perfect_tree(5)):
+        n = host.leaf_count
+        for k in (1, 2, 3):
+            for _ in range(3):
+                chi = Coloring.from_leaf_colors(host, [rng.randrange(k) for _ in range(n)], k)
+                region = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+                for target, apart in targets:
+                    for reg in (None, region):
+                        got = find_mono_copy(chi, target, reg)
+                        assert got == find_mono_copy(chi, apart, reg), (chi.assignment, target, reg)
+                        found += got is not None
+    assert statuses == {"holds", "fails"}
+    assert found > 100, found
+
+
 def test_counts_on_large_hosts_sum_to_the_leaf_subsets():
     # every m-subset of the leaves induces exactly one m-leaf shape
     p20 = perfect_tree(20)
@@ -400,13 +429,21 @@ def test_patterns_nearly_as_large_as_the_host():
 
 
 def _traced(call):
-    """(call(), the peak bytes tracemalloc saw allocated during it)."""
+    """(call(), the peak bytes tracemalloc saw allocated during it).
+
+    A tuple reused from CPython's free lists was allocated before tracing
+    began and is not counted, so a peak would depend on the tests run
+    before; tuples of up to 3 items, held while call runs, empty those
+    lists.
+    """
+    held = [tuple(range(i, i + n)) for n in (1, 2, 3) for i in range(4096)]
     tracemalloc.start()
     try:
         out = call()
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        del held
 
 
 def test_count_memory_is_bounded():

@@ -170,8 +170,8 @@ _COMMAND_LOADS = [
     (["gen", "perfect", "2"], {"tree"}),
     (["copies", "((,),(,))", "(,)"], {"tree", "embedding"}),
     (["induce", "((,),(,))", "[0,1,3]"], {"tree", "embedding"}),
-    (["encode", "((a,b),c)"], {"tree", "embedding", "triples"}),
-    (["decode", "{structure}"], {"tree", "embedding", "triples"}),
+    (["encode", "((a,b),c)"], {"tree", "triples"}),
+    (["decode", "{structure}"], {"tree", "triples"}),
     (["check-arrow", "((,),(,))", "(,)", "", "2"], _ARROW),
     (["min-height", "(,)", "", "2"], _ARROW),
     (["find-bad", "((,),(,))", "(,)", "", "2"], _ARROW),
