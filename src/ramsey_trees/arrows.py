@@ -18,16 +18,16 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from collections.abc import Callable, Generator
+from collections.abc import Callable, Generator, Iterable
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, _postorder, iso, parse_newick, perfect_tree, to_newick
 from .embedding import (
     CopyRef,
+    _capped_copies,
     _copies,
     _split_plan,
     count_copies,
-    enumerate_copies,
     induced_subtree,
     is_copy,
 )
@@ -96,7 +96,7 @@ def _arrow_edges(
     """Variables (P-copies) and NAE constraints (inner P-copies per H-copy).
 
     Every H-copy induces a tree isomorphic to target, so its inner P-copies
-    are enumerate_copies(target, pattern) relabeled through the H-copy's
+    are the copies of pattern in target relabeled through the H-copy's
     leaves; that template is enumerated once and turned into one _relabel
     getter per copy, which each H-copy goes through. Returns (variables,
     edges), each edge once, in the order the copy stream first makes it,
@@ -104,10 +104,14 @@ def _arrow_edges(
     and every edge has two members or more. The H-copies are charged to the
     enumeration cap by count in check_arrow and read from the copy stream,
     never all held. poll(0) is called every 1024 of them (not while
-    the stream builds a right-part list); it raises when the time is up.
+    the stream builds a right-part list), and after every 1024 P-copies
+    listed, template getters built and members of one H-copy; it raises
+    when the time is up. Both listings are checked against the enumeration
+    cap before they start.
     """
-    variables = enumerate_copies(host, pattern)
-    getters = [_relabel(rel) for rel in enumerate_copies(target, pattern)]
+    variables = _polled_list(_capped_copies(host, pattern), poll)
+    getters = _polled_list(map(_relabel, _capped_copies(target, pattern)), poll)
+    head, rest = getters[:1024], [getters[i:i + 1024] for i in range(1024, len(getters), 1024)]
     var_index = {c: i for i, c in enumerate(variables)}
     edges: dict[tuple[int, ...], None] = {}
     for n, hc in enumerate(_copies(host, target)):
@@ -115,8 +119,23 @@ def _arrow_edges(
             poll(0)
         # relabeling through the increasing hc keeps lexicographic order, so
         # the variable indices come out sorted
-        edges[tuple([var_index[get(hc)] for get in getters])] = None
+        members = [var_index[get(hc)] for get in head]
+        for more in rest:
+            poll(0)
+            members += [var_index[get(hc)] for get in more]
+        edges[tuple(members)] = None
     return variables, list(edges)
+
+
+def _polled_list(items: Iterable, poll: Callable[[int], None]) -> list:
+    """list(items), calling poll(0) after every 1024 of them."""
+    out: list = []
+    while True:
+        n = len(out)
+        out += itertools.islice(items, 1024)
+        if len(out) - n < 1024:
+            return out
+        poll(0)
 
 
 def check_arrow(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from itertools import chain, combinations, product, repeat, starmap
+from math import comb
 from operator import add, attrgetter
 
 from .errors import FormatError
@@ -123,12 +124,15 @@ def is_copy(host: PlaneTree, leaves, pattern: PlaneTree) -> bool:
 def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
     """Number of copies of pattern in host (exact arbitrary-precision count).
 
-    A copy of an internal pattern either sits inside one child of the host
-    root or splits at it (left pattern child into the left host child, right
-    into right). _count_table applies that rule to the pattern's vertices at
-    once, one vector per distinct host vertex, so shared subtrees are
-    counted once.
+    Every set of one or two leaves is a copy of the one- or two-leaf tree,
+    so those count as binomials. A copy of a larger pattern either sits
+    inside one child of the host root or splits at it (left pattern child
+    into the left host child, right into right). _count_table applies that
+    rule to the pattern's vertices at once, one vector per distinct host
+    vertex, so shared subtrees are counted once.
     """
+    if pattern.leaf_count <= 2:
+        return comb(host.leaf_count, pattern.leaf_count)
     if pattern.leaf_count > host.leaf_count:
         return 0
     table, slot = _count_table(host, pattern)
@@ -245,11 +249,14 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     Every batch comes as its size, an int, and then its copies, lazily, so
     the size can be charged before any copy is built. A batch is the copies
     with one prefix and one part at the last level, one map of the prefix
-    over the part's list, unless r_L is a leaf and L >= 2. Then the last
-    leaf takes every position from the end of u_{L-1} to the end of t, one
-    range, as each later leaf parts from a above u_{L-1}, with a on the
-    left. So a batch is a block: the copies with one prefix and one
-    u_{L-1}, the heads (a prefix and one part of r_{L-1}) times that range.
+    over the part's copies: for a two-leaf r_L, every leaf pair of u_L's
+    right child, C(its leaves, 2) of them from combinations over its
+    positions, with no list; else the part's list. But if r_L is a leaf and
+    L >= 2, the last leaf takes every position from the end of u_{L-1} to
+    the end of t, one range, as each later leaf parts from a above u_{L-1},
+    with a on the left. So a batch is a block: the copies with one prefix
+    and one u_{L-1}, the heads (a prefix and one part of r_{L-1}) times
+    that range.
     After its size come the first head's row as a lazy map and then, built
     only when that row is read, one product of the other heads and the
     range, whose pools hold at most the range and the part's list.
@@ -264,6 +271,7 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     top = len(rights) - 1
     # the level that ends a batch's prefix: top for maps, top - 1 for blocks
     stop = top - 1 if top and rights[top].is_leaf else top
+    pair = rights[top].leaf_count == 2
     table, slot = counts
     cols = [slot.get(id(r), 1) for r in rights]
     # path: (right child, its first position) of each ancestor holding the
@@ -326,6 +334,11 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
                 if j != stop:
                     col = parts[j][q] or (yield from fill(j, q))
                     frames += [(j + 1, pre + c, q - 1) for c in reversed(col)]
+                elif pair:  # the copies of r_L in w are all its leaf pairs
+                    w, off = path[q]
+                    end = off + w.leaf_count
+                    yield comb(end - off, 2)
+                    yield map(add, repeat(pre), combinations(range(off, end), 2))
                 elif stop == top:
                     col = parts[j][q] or (yield from fill(j, q))
                     yield len(col)
@@ -354,7 +367,8 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     so those come from itertools.combinations. Any larger pattern's come
     from one _walk over the host, reading one count table: the caller's
     _count_table(host, pattern), passed as counts, or one built here. The
-    copy lists the walk asks for are built by further walks, run from an
+    copy lists the walk asks for (a two-leaf part at its last level is
+    generated, never listed) are built by further walks, run from an
     explicit stack, so no Python recursion grows with the host or the
     pattern; they are memoized on object identity, so shared subtrees are
     listed once, and their running total is charged to the enumeration
@@ -393,13 +407,23 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     return chain.from_iterable(batches())
 
 
+def _capped_copies(host: PlaneTree, pattern: PlaneTree):
+    """_copies(host, pattern), once the enumeration cap has allowed their
+    number: a binomial for one or two leaves, else read from the count
+    table that the stream then reuses."""
+    if pattern.leaf_count <= 2:
+        check_enumeration(comb(host.leaf_count, pattern.leaf_count))
+        return _copies(host, pattern)
+    table, slot = counts = _count_table(host, pattern)
+    check_enumeration(_count(table, host, slot.get(id(pattern), 1)))
+    return _copies(host, pattern, counts)
+
+
 def enumerate_copies(host: PlaneTree, pattern: PlaneTree) -> list[CopyRef]:
     """All copies of pattern in host, lexicographically ordered.
 
     Guarded by the global enumeration cap, which bounds the result and,
-    separately, the copy lists the stream builds on the way (_copies). One
-    count table serves the cap check and the stream.
+    separately, the copy lists the stream builds on the way (_copies). The
+    result is checked against the cap before any copy is listed.
     """
-    table, slot = counts = _count_table(host, pattern)
-    check_enumeration(_count(table, host, slot.get(id(pattern), 1)))
-    return list(_copies(host, pattern, counts))
+    return list(_capped_copies(host, pattern))

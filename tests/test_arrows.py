@@ -729,6 +729,9 @@ def test_every_poll_site_stops_the_engines():
         # probe's 190 nodes, then 23 flips
         (constraints, (node(perfect_tree(3), node(perfect_tree(2), perfect_tree(3))),
                        parse_newick("(,(,(,)))"), CHERRY, 2), 5_000, (189, 190, 191)),
+        # construction's other polls: 2,016 P-copies listed, as many template
+        # getters and one H-copy of 2,016 members, each polled once
+        (constraints, (perfect_tree(6), perfect_tree(6), CHERRY, 2), 5_000, ()),
     ]
     polls = []  # (nodes, line) of each call
     stop_at = 0  # 0: never raise
@@ -769,13 +772,17 @@ def test_every_poll_site_stops_the_engines():
     assert full_polls[4] == [0] * 47 + [265, 274, 282, 291, 299, 308, 316, 330, 348, 366, 384,
                                         397, 411] + [496] * 15 + [497, 498]
     assert full_polls[5] == [0, 0, 0, 0, 0, 189, 190, *range(191, 214), 213]
+    assert full_polls[6] == [0, 0, 0, 0, 0, 1024]
     with open(arrows.__file__, encoding="utf-8") as fh:
         sites = {
             n.lineno
             for n in ast.walk(ast.parse(fh.read()))
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "poll"
         }
-    assert len(sites) == 14
+    # 16 sites: the construction's poll per 1024 H-copies and per 1024
+    # members of one H-copy, _polled_list's (P-copies and template getters)
+    # and the engines' 13
+    assert len(sites) == 16
     assert reached == sites
 
 

@@ -324,7 +324,8 @@ def test_find_mono_copy_answers_early_on_large_host():
 
 def test_find_mono_copy_under_enumeration_cap():
     # P5 holds 16,120 copies of P2, over a cap of 2000; the search lists
-    # only the cherries of P5's subtrees and still finds the least copy.
+    # no copies of P2's parts, which the stream generates, and still finds
+    # the least copy.
     rng = random.Random(5)
     chi = _random_coloring(rng, perfect_tree(5), CHERRY, 2)
     uncapped = find_mono_copy(chi, perfect_tree(2))

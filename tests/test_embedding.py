@@ -30,6 +30,7 @@ from ramsey_trees import (
     to_newick,
     validate_copy,
 )
+from ramsey_trees import embedding
 from ramsey_trees.arrows import _arrow_edges
 from ramsey_trees.embedding import _copies, _count_table
 from helpers import brute_copies, naive_induced_shape, naive_shape, perfect_induced_shape
@@ -112,8 +113,10 @@ def test_count_copies_frozen_examples():
 
 
 def test_copies_match_bruteforce_on_small_universe():
-    hosts = [t for n in range(1, 7) for t in all_trees(n)]
-    patterns = [p for n in range(1, 4) for p in all_trees(n)]
+    # Two-leaf parts come at a walk's last level (generated as leaf pairs),
+    # at inner levels and as block heads (listed by nested walks).
+    hosts = [t for n in range(1, 8) for t in all_trees(n)] + [perfect_tree(3), perfect_tree(4)]
+    patterns = [p for n in range(1, 6) for p in all_trees(n)]
     for host in hosts:
         for pattern in patterns:
             expected = brute_copies(host, pattern)
@@ -244,17 +247,22 @@ def test_deep_pattern_in_itself(side):
 
 
 def test_stream_charges_only_the_lists_it_builds():
-    # In P6, the copies of ((,),(,)) need the cherries of the right children,
-    # one list per height as the host shares its subtrees: 496 + 120 + 28 +
-    # 6 + 1 = 651 items. The 278,256 copies streamed are not charged, and a
-    # pattern whose spine holds only leaves builds no list.
-    host, pattern = perfect_tree(6), parse_newick("((,),(,))")
-    set_max_enumeration(650)
-    with pytest.raises(ResourceLimitError):
-        list(_copies(host, pattern))
+    # The copies streamed are not charged, and neither are parts at the
+    # last level that are leaves or cherries, which the walk generates: the
+    # 278,256 copies of ((,),(,)) and 20,832 of ((,),) in P6 build no list.
+    host = perfect_tree(6)
+    set_max_enumeration(1)
+    assert sum(1 for _ in _copies(host, parse_newick("((,),(,))"))) == 278256
     assert sum(1 for _ in _copies(host, parse_newick("((,),)"))) == 20832
-    set_max_enumeration(651)
-    assert sum(1 for _ in _copies(host, pattern)) == 278256
+    # In P5, the copies of ((,),(,(,))) need the copies of (,(,)) in the
+    # right children, one list per height as the host shares its subtrees:
+    # 2 + 28 + 280 = 310 items.
+    host, pattern = perfect_tree(5), parse_newick("((,),(,(,)))")
+    set_max_enumeration(309)
+    with pytest.raises(ResourceLimitError, match="310 items"):
+        list(_copies(host, pattern))
+    set_max_enumeration(310)
+    assert sum(1 for _ in _copies(host, pattern)) == 35216 == count_copies(host, pattern)
 
 
 def test_stream_charges_a_block_before_listing_it():
@@ -285,14 +293,12 @@ def test_stream_charges_a_block_before_listing_it():
     set_max_enumeration(1000)
     peak = refused(parse_newick("(,((,),))"), "4096 items")
     assert peak < 32_000, peak
-    # A right comb's batch is a map of a prefix over a part's list, charged
-    # the same way. The first list asked for here holds the cherries of P12
-    # from its first leaf, in batches of 1, 2, 4, ..., 512 pairs: the last
-    # batch takes the total to 1023 items and is refused before its pairs
-    # are built. Built before the charge, they would take the peak to 159
-    # KB; most of the 126 KB left is the leaf columns the batches map over,
-    # one 1-tuple per leaf.
-    peak = refused(parse_newick("(,(,(,)))"), "1023 items")
+    # A right comb's batch is a map of a prefix over a part's copies,
+    # charged the same way. The first list asked for here holds the copies
+    # of (,(,)) from the first leaf of (P1, P12); its first batch pairs that
+    # leaf with every leaf pair of P12, 8,386,560 copies, and is refused
+    # before any pair is built. The peak is about 6 KB.
+    peak = refused(parse_newick("(,(,(,)))"), "8386560 items")
     assert peak < 144_000, peak
 
 
@@ -342,6 +348,30 @@ def _unshared_perfect(d, first=0):
 
 def _mirror(t):
     return t if t.is_leaf else node(_mirror(t.right), _mirror(t.left))
+
+
+def test_last_level_cherries_are_generated_not_listed(monkeypatch):
+    # Every leaf pair of a subtree is a cherry, so a stream whose last part
+    # is a cherry holds no list of them: P2 in P6 and (,(,)) in P7 peak at
+    # about 10 KB and 7 KB, where listing and shifting the cherries of each
+    # right child took about 95 KB and 355 KB.
+    for host, text, want in ((perfect_tree(6), "((,),(,))", 278_256),
+                             (perfect_tree(7), "(,(,))", 170_688)):
+        pattern = parse_newick(text)
+        got, peak = _traced(lambda: sum(1 for _ in _copies(host, pattern)))
+        assert got == want == count_copies(host, pattern), text
+        assert peak < 32_000, (text, peak)
+    # and the P2 stream starts no walk but its own
+    walks = []
+    walk = embedding._walk
+
+    def counted(*args):
+        walks.append(args[:2])
+        return walk(*args)
+
+    monkeypatch.setattr(embedding, "_walk", counted)
+    assert sum(1 for _ in _copies(perfect_tree(6), perfect_tree(2))) == 278_256
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("d", range(7))
