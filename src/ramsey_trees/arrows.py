@@ -318,10 +318,9 @@ def _backtrack(
     degree.update(itertools.chain.from_iterable(rest))
     order = sorted(range(m), key=lambda v: (-degree[v], v))
     # From here on a variable is named by its depth d in the order.
-    bit = [1 << d for d in range(m)]
-    at = [0] * m  # at[v]: the bit of variable v's depth
+    depth = [0] * m  # depth[v]: variable v's depth
     for d, v in enumerate(order):
-        at[v] = bit[d]
+        depth[v] = d
     # watch[d]: (mask of the earlier members, last member) per constraint
     # whose second-to-last member is d; rel[d]: the OR of those masks
     watch: list[list[tuple[int, int]]] = [[] for _ in range(m)]
@@ -329,11 +328,11 @@ def _backtrack(
     for j, e in enumerate(edges):
         mask = 0
         for v in e:
-            mask |= at[v]
+            mask |= 1 << depth[v]
         last = mask.bit_length() - 1
-        mask ^= bit[last]
+        mask ^= 1 << last
         second = mask.bit_length() - 1
-        mask ^= bit[second]
+        mask ^= 1 << second
         watch[second].append((mask, last))
         rel[second] |= mask
         if j & 1023 == 1023:
@@ -361,7 +360,7 @@ def _backtrack(
             if d < 0:
                 return None, nodes
             c = color_of[d]
-            colmask[c] ^= bit[d]
+            colmask[c] ^= 1 << d
             low = 1 << c
             for u in removed[d]:
                 domain[u] |= low
@@ -396,7 +395,7 @@ def _backtrack(
                     break
         else:
             color_of[d] = c
-            colmask[c] = same | bit[d]
+            colmask[c] = same | 1 << d
             removed[d] = cut
             d += 1
             if d == m:

@@ -136,7 +136,7 @@ def count_copies(host: PlaneTree, pattern: PlaneTree) -> int:
     if pattern.leaf_count > host.leaf_count:
         return 0
     table, slot = _count_table(host, pattern)
-    return _count(table, host, slot.get(id(pattern), 1))
+    return _count(table, host, slot[id(pattern)])
 
 
 def _split_plan(pattern: PlaneTree) -> tuple[list[tuple[int, int, int]], list[int], dict[int, int]]:
@@ -173,11 +173,8 @@ def _count_table(host: PlaneTree, pattern: PlaneTree) -> tuple[_Table, dict[int,
     linear in memory. A child's window starts at or below v's, so a child
     whose window does not start at slot 0 is read through its offset, and
     only the tail of a child's counts is ever padded with zeros: a deep
-    pattern in itself then costs time linear in the host too. For a leaf
-    pattern the table holds only the host root.
+    pattern in itself then costs time linear in the host too.
     """
-    if pattern.left is None:
-        return {id(host): (0, [0, host.leaf_count])}, {}
     plan, sizes, slot = _split_plan(pattern)
     slack = host.leaf_count - pattern.leaf_count
     zeros = [0] * len(plan)
@@ -230,7 +227,8 @@ def _count(table: _Table, v: PlaneTree, k: int) -> int:
 def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     """Batches of the copies of an internal p in t, in t's positions and in
     lexicographic order; a pair (w, r) instead when it needs the copies of r
-    in a subtree w that lists, keyed (id(w), id(r)), lacks. counts is the
+    in a subtree w that lists, keyed (id(w), id(r)), lacks, which it asks
+    for only once counts reads their number as nonzero. counts is the
     _count_table of a host and a pattern that hold t and p.
 
     Let r_1, ..., r_L be the right children up p's left spine, lowest first.
@@ -246,20 +244,17 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
     an ancestor is tried at a level only if the levels above can still be
     filled, and a part is listed only when the walk reaches it.
 
-    Every batch comes as its size, an int, and then its copies, lazily, so
-    the size can be charged before any copy is built. A batch is the copies
-    with one prefix and one part at the last level, one map of the prefix
-    over the part's copies: for a two-leaf r_L, every leaf pair of u_L's
-    right child, C(its leaves, 2) of them from combinations over its
+    A batch is the copies with one prefix and one part at the last level,
+    one lazy map of the prefix over the part's copies: for a two-leaf r_L,
+    every leaf pair of u_L's right child, from combinations over its
     positions, with no list; else the part's list. But if r_L is a leaf and
     L >= 2, the last leaf takes every position from the end of u_{L-1} to
     the end of t, one range, as each later leaf parts from a above u_{L-1},
     with a on the left. So a batch is a block: the copies with one prefix
     and one u_{L-1}, the heads (a prefix and one part of r_{L-1}) times
-    that range.
-    After its size come the first head's row as a lazy map and then, built
-    only when that row is read, one product of the other heads and the
-    range, whose pools hold at most the range and the part's list.
+    that range. It comes as the first head's row, a lazy map, and then,
+    built only when that row is read, one product of the other heads and
+    the range, whose pools hold at most the range and the part's list.
     """
     n = t.leaf_count
     last = n - p.leaf_count  # the last leaf a copy can start at
@@ -336,24 +331,19 @@ def _walk(t: PlaneTree, p: PlaneTree, lists: dict, counts: tuple):
                     frames += [(j + 1, pre + c, q - 1) for c in reversed(col)]
                 elif pair:  # the copies of r_L in w are all its leaf pairs
                     w, off = path[q]
-                    end = off + w.leaf_count
-                    yield comb(end - off, 2)
-                    yield map(add, repeat(pre), combinations(range(off, end), 2))
+                    yield map(add, repeat(pre), combinations(range(off, off + w.leaf_count), 2))
                 elif stop == top:
                     col = parts[j][q] or (yield from fill(j, q))
-                    yield len(col)
                     yield map(add, repeat(pre), col)
                 else:
                     w, off = path[q]
                     end = off + w.leaf_count
                     if cols[j] == 1:  # the heads are pre + (x,), off <= x < end
-                        yield (end - off) * (n - end)
                         yield map(add, repeat(pre + (off,)), zip(range(end, n)))
                         if end - off > 1:
                             yield product(*zip(pre), range(off + 1, end), range(end, n))
                     else:
                         col = parts[j][q] or (yield from fill(j, q))
-                        yield len(col) * (n - end)
                         yield map(add, repeat(pre + col[0]), zip(range(end, n)))
                         if len(col) > 1:
                             heads = map(add, repeat(pre), col[1:])
@@ -371,10 +361,10 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     generated, never listed) are built by further walks, run from an
     explicit stack, so no Python recursion grows with the host or the
     pattern; they are memoized on object identity, so shared subtrees are
-    listed once, and their running total is charged to the enumeration
-    cap: each batch by the size the walk gives first, before its copies
-    are built. The copies yielded are not charged; the stream chains the
-    walk's batches, so their rows are read at C speed.
+    listed once. Each is charged to the enumeration cap, as a running
+    total, by its count in the table before its walk starts. The copies
+    yielded are not charged; the stream chains the walk's batches, so
+    their rows are read at C speed.
     """
     if pattern.leaf_count <= 2:
         return combinations(range(host.leaf_count), pattern.leaf_count)
@@ -382,20 +372,19 @@ def _copies(host: PlaneTree, pattern: PlaneTree, counts: tuple | None = None):
     counts = counts or _count_table(host, pattern)
 
     def batches():
+        table, slot = counts
         charged = 0
         frames = [(_walk(host, pattern, lists, counts), None, None)]
         while frames:
             walk, key, out = frames[-1]
             for item in walk:
-                cls = item.__class__
-                if cls is tuple:  # a missing list: build it first
-                    frames.append((_walk(*item, lists, counts), (id(item[0]), id(item[1])), []))
+                if item.__class__ is tuple:  # a missing list: charge it, then build it
+                    w, r = item
+                    charged += _count(table, w, slot[id(r)])
+                    check_enumeration(charged)
+                    frames.append((_walk(w, r, lists, counts), (id(w), id(r)), []))
                     break
-                if cls is int:  # the size of the batch that follows
-                    if out is not None:
-                        charged += item
-                        check_enumeration(charged)
-                elif out is None:
+                if out is None:
                     yield item
                 else:
                     out += item
@@ -415,7 +404,7 @@ def _capped_copies(host: PlaneTree, pattern: PlaneTree):
         check_enumeration(comb(host.leaf_count, pattern.leaf_count))
         return _copies(host, pattern)
     table, slot = counts = _count_table(host, pattern)
-    check_enumeration(_count(table, host, slot.get(id(pattern), 1)))
+    check_enumeration(_count(table, host, slot[id(pattern)]))
     return _copies(host, pattern, counts)
 
 

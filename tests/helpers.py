@@ -4,13 +4,15 @@ The shared brute-force oracle (labeled, the naive shapes, brute_copies, the
 arrow exhaustion, check_witness) lives in ramsey_trees.selftest and is
 re-exported here. Like it, these recompute answers from first principles
 without the library's fast paths, so a disagreement points at a real bug
-rather than a shared one.
+rather than a shared one. traced, the one memory probe, measures a
+call's tracemalloc peak.
 """
 
 from __future__ import annotations
 
 import itertools
 import os.path
+import tracemalloc
 
 from ramsey_trees import PlaneTree, node
 from ramsey_trees.selftest import (  # noqa: F401
@@ -69,3 +71,21 @@ def mirror(t: PlaneTree) -> PlaneTree:
     """t with the children of every vertex swapped, leaf labels kept: leaf i
     of t is leaf n - 1 - i of mirror(t)."""
     return t if t.is_leaf else node(mirror(t.right), mirror(t.left))
+
+
+def traced(call):
+    """(call(), the peak bytes tracemalloc saw allocated during it).
+
+    A tuple reused from CPython's free lists was allocated before tracing
+    began and is not counted, so a peak would depend on the tests run
+    before; tuples of up to 3 items, held while call runs, empty those
+    lists.
+    """
+    held = [tuple(range(i, i + n)) for n in (1, 2, 3) for i in range(4096)]
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        del held

@@ -11,7 +11,6 @@ import random
 import subprocess
 import sys
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -49,7 +48,7 @@ import ramsey_trees
 from ramsey_trees import arrows
 from ramsey_trees.arrows import _arrow_edges
 from ramsey_trees.coloring import _least_agreeing
-from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled, mirror
+from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled, mirror, traced
 
 CHERRY = parse_newick("(,)")
 CAT3 = parse_newick("((,),)")
@@ -268,20 +267,19 @@ def test_budget_stops_h_copy_listing():
     # The H-copies are read from the stream between polls, never listed all
     # at once: with the budget out at the first poll, building the
     # constraints of P6 -> (P2)^cherry stops before it holds more than one
-    # batch of its 278,256 4-tuples (about 25 MB when listed).
+    # batch of its 278,256 4-tuples (about 25 MB when listed): it peaks at
+    # about 70 KB.
     polls = []
 
     def poll(nodes):
         polls.append(nodes)
         raise arrows._OutOfBudget(nodes)
 
-    tracemalloc.start()
-    try:
+    def build():
         with pytest.raises(arrows._OutOfBudget):
             _arrow_edges(perfect_tree(6), perfect_tree(2), CHERRY, poll)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced(build)[1]
     assert polls == [0]
     assert peak < 2_000_000
 
@@ -850,20 +848,31 @@ def test_search_rechecks_its_witness(monkeypatch):
 def test_search_lookup_memory_is_bounded_by_the_constraints():
     # The per-depth lookups stop storing once their allowance, linear in the
     # edges and variables, is spent (by about 10k nodes here), so a search 40
-    # times longer peaks within a quarter of the short one's peak: about 196
-    # KB against 172 KB. With no allowance cap the long one peaked at 272 KB.
+    # times longer peaks within a quarter of the short one's peak: about 248
+    # KB against 223 KB. With no allowance cap the long one peaked at 322 KB.
     def peak(max_nodes):
-        tracemalloc.start()
-        try:
-            assert _backtracker(perfect_tree(4), perfect_tree(2), CHERRY, 2, max_nodes) == (
-                "unknown", max_nodes)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, used = traced(lambda: _backtracker(perfect_tree(4), perfect_tree(2), CHERRY, 2, max_nodes))
+        assert got == ("unknown", max_nodes)
+        return used
 
     peak(1)  # first-call allocations of the modules it uses
     short, long = peak(5_000), peak(200_000)
     assert long < 1.25 * short, (short, long)
+
+
+def test_backtracker_memory_is_linear_in_the_variables():
+    # P8 -> (P8)^cherry_2 has one constraint over all 32,640 cherries of P8.
+    # A search of one node peaks at about 9 MiB. Storing 1 << d for every
+    # depth d held about m^2/16 bytes for m variables, a peak of 77 MiB.
+    variables, edges = _arrow_edges(perfect_tree(8), perfect_tree(8), CHERRY)
+    assert (len(variables), len(edges)) == (32_640, 1)
+
+    def search():
+        with pytest.raises(arrows._OutOfBudget):
+            arrows._search_arrow(variables, edges, 2, 1, lambda nodes: None)
+
+    peak = traced(search)[1]
+    assert peak < 24 * 2**20, peak
 
 
 def test_leaf_arrow_rechecks_its_witness(monkeypatch):
@@ -1218,16 +1227,12 @@ def test_extract_mono_k_on_the_eight_color_chain():
 
 
 def test_eight_color_first_bit_round_memory_is_bounded():
-    # peaks of 6-11 KB: one list of five shapes per vertex on the stack
+    # peaks of 9-15 KB: one list of five shapes per vertex on the stack
     chain = build_reduction_chain(CHERRY, leaf(), 8)
     top, below = chain.trees[-1], chain.trees[-2]
     for colors, chi in _seeded_leaf_colorings(top, 8, range(4)):
-        tracemalloc.start()
-        try:
-            copy, bit = _least_agreeing(top, None, below, leaf(), lambda c: colors[c[0]] >> 2 & 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (copy, bit), peak = traced(
+            lambda: _least_agreeing(top, None, below, leaf(), lambda c: colors[c[0]] >> 2 & 1))
         assert is_copy(top, copy, below) and {colors[i] >> 2 & 1 for i in copy} == {bit}
         assert peak < 64_000, peak
 

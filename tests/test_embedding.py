@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +32,7 @@ from ramsey_trees import (
 from ramsey_trees import embedding
 from ramsey_trees.arrows import _arrow_edges
 from ramsey_trees.embedding import _copies, _count_table
-from helpers import brute_copies, naive_induced_shape, naive_shape, perfect_induced_shape
+from helpers import brute_copies, naive_induced_shape, naive_shape, perfect_induced_shape, traced
 
 trees = st.recursive(
     st.just(leaf()), lambda sub: st.builds(node, sub, sub), max_leaves=8
@@ -246,7 +245,21 @@ def test_deep_pattern_in_itself(side):
     assert enumerate_copies(c, c) == [tuple(range(1100))]
 
 
-def test_stream_charges_only_the_lists_it_builds():
+@pytest.fixture
+def walks(monkeypatch):
+    """The arguments of every _walk started from here on, in order."""
+    started = []
+    walk = embedding._walk
+
+    def counted(*args):
+        started.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(embedding, "_walk", counted)
+    return started
+
+
+def test_stream_charges_only_the_lists_it_builds(walks):
     # The copies streamed are not charged, and neither are parts at the
     # last level that are leaves or cherries, which the walk generates: the
     # 278,256 copies of ((,),(,)) and 20,832 of ((,),) in P6 build no list.
@@ -263,21 +276,37 @@ def test_stream_charges_only_the_lists_it_builds():
         list(_copies(host, pattern))
     set_max_enumeration(310)
     assert sum(1 for _ in _copies(host, pattern)) == 35216 == count_copies(host, pattern)
+    # Over small hosts and patterns: with T the total length of the lists
+    # the stream stored, it passes at cap T and refuses at T - 1, naming T.
+    hosts = [t for n in range(3, 8) for t in all_trees(n)] + [perfect_tree(d) for d in (3, 4, 5)]
+    patterns = [p for m in range(3, 7) for p in all_trees(m)]
+    for host in hosts:
+        for pattern in patterns:
+            walks.clear()
+            set_max_enumeration(10**9)
+            want = list(_copies(host, pattern))
+            total = sum(map(len, walks[0][2].values()))  # the root walk's lists
+            set_max_enumeration(max(total, 1))  # the cap is at least 1
+            assert list(_copies(host, pattern)) == want, (host, pattern)
+            if total > 1:
+                set_max_enumeration(total - 1)
+                with pytest.raises(ResourceLimitError, match=f"produce {total} items"):
+                    list(_copies(host, pattern))
 
 
-def test_stream_charges_a_block_before_listing_it():
+def test_stream_charges_a_list_before_building_it():
     # In P6, the copies of ((,),((,),)) need the caterpillars of the right
     # children of heights 2-5, one list per height: 2 + 28 + 280 + 2480 =
-    # 2790 items, listed a block at a time.
+    # 2790 items.
     host, pattern = perfect_tree(6), parse_newick("((,),((,),))")
     set_max_enumeration(2789)
     with pytest.raises(ResourceLimitError):
         list(_copies(host, pattern))
     set_max_enumeration(2790)
     assert sum(1 for _ in _copies(host, pattern)) == count_copies(host, pattern)
-    # The first list asked for here starts with the block (0, 1, y), 2 <= y
-    # < 4098, of 4096 caterpillars: over the cap, it is refused before any
-    # of it is listed.
+    # The first list asked for here holds the caterpillars of (P1, P12),
+    # 5,722,433,536 by the count table: over the cap, it is refused before
+    # any of it is listed.
     host = node(leaf(), node(perfect_tree(1), perfect_tree(12)))
 
     def refused(pattern, match):
@@ -288,18 +317,28 @@ def test_stream_charges_a_block_before_listing_it():
             with pytest.raises(ResourceLimitError, match=match):
                 next(_copies(host, pattern, counts))
 
-        return _traced(first)[1]
+        return traced(first)[1]
 
     set_max_enumeration(1000)
-    peak = refused(parse_newick("(,((,),))"), "4096 items")
+    peak = refused(parse_newick("(,((,),))"), "5722433536 items")
     assert peak < 32_000, peak
-    # A right comb's batch is a map of a prefix over a part's copies,
-    # charged the same way. The first list asked for here holds the copies
-    # of (,(,)) from the first leaf of (P1, P12); its first batch pairs that
-    # leaf with every leaf pair of P12, 8,386,560 copies, and is refused
-    # before any pair is built. The peak is about 6 KB.
-    peak = refused(parse_newick("(,(,(,)))"), "8386560 items")
+    # The same for a right comb: its first list holds the 5,739,202,560
+    # copies of (,(,)) in (P1, P12). Both peaks are about 4 KB.
+    peak = refused(parse_newick("(,(,(,)))"), "5739202560 items")
     assert peak < 144_000, peak
+
+
+def test_a_refused_list_starts_no_walk(walks):
+    # The cap refuses a list by its count in the table, before the list's
+    # walk starts, so the only walk is the root's. Charged batch by batch,
+    # each list had its own walk started first.
+    host = node(leaf(), node(perfect_tree(1), perfect_tree(12)))
+    set_max_enumeration(1000)
+    for text in ("(,((,),))", "(,(,(,)))"):
+        walks.clear()
+        with pytest.raises(ResourceLimitError):
+            next(_copies(host, parse_newick(text)))
+        assert len(walks) == 1 and walks[0][0] is host, text
 
 
 def test_first_copy_of_a_leaf_tailed_pattern_is_cheap():
@@ -309,7 +348,7 @@ def test_first_copy_of_a_leaf_tailed_pattern_is_cheap():
     # The peak includes the count table the stream builds.
     for height, text, first in ((16, "((,),)", (0, 1, 2)), (12, "((,(,)),)", (0, 2, 3, 4))):
         host, pattern = perfect_tree(height), parse_newick(text)
-        got, peak = _traced(lambda: next(_copies(host, pattern)))
+        got, peak = traced(lambda: next(_copies(host, pattern)))
         assert got == first
         assert peak < 32_000, (height, text, peak)
 
@@ -350,7 +389,7 @@ def _mirror(t):
     return t if t.is_leaf else node(_mirror(t.right), _mirror(t.left))
 
 
-def test_last_level_cherries_are_generated_not_listed(monkeypatch):
+def test_last_level_cherries_are_generated_not_listed(walks):
     # Every leaf pair of a subtree is a cherry, so a stream whose last part
     # is a cherry holds no list of them: P2 in P6 and (,(,)) in P7 peak at
     # about 10 KB and 7 KB, where listing and shifting the cherries of each
@@ -358,18 +397,11 @@ def test_last_level_cherries_are_generated_not_listed(monkeypatch):
     for host, text, want in ((perfect_tree(6), "((,),(,))", 278_256),
                              (perfect_tree(7), "(,(,))", 170_688)):
         pattern = parse_newick(text)
-        got, peak = _traced(lambda: sum(1 for _ in _copies(host, pattern)))
+        got, peak = traced(lambda: sum(1 for _ in _copies(host, pattern)))
         assert got == want == count_copies(host, pattern), text
         assert peak < 32_000, (text, peak)
     # and the P2 stream starts no walk but its own
-    walks = []
-    walk = embedding._walk
-
-    def counted(*args):
-        walks.append(args[:2])
-        return walk(*args)
-
-    monkeypatch.setattr(embedding, "_walk", counted)
+    walks.clear()
     assert sum(1 for _ in _copies(perfect_tree(6), perfect_tree(2))) == 278_256
     assert len(walks) == 1
 
@@ -458,24 +490,6 @@ def test_patterns_nearly_as_large_as_the_host():
                     assert enumerate_copies(host, p) == want, (host, p)
 
 
-def _traced(call):
-    """(call(), the peak bytes tracemalloc saw allocated during it).
-
-    A tuple reused from CPython's free lists was allocated before tracing
-    began and is not counted, so a peak would depend on the tests run
-    before; tuples of up to 3 items, held while call runs, empty those
-    lists.
-    """
-    held = [tuple(range(i, i + n)) for n in (1, 2, 3) for i in range(4096)]
-    tracemalloc.start()
-    try:
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        del held
-
-
 def test_count_memory_is_bounded():
     # peaks: about 2.2 MB for a 5-leaf comb in the 3002-leaf comb, one
     # vector of six slots per host vertex, and about 1 MB for an 1100-leaf
@@ -484,7 +498,7 @@ def test_count_memory_is_bounded():
     deep = _comb(1100, "left")
     cases.append((deep, deep, 1, 2e6))
     for host, pattern, want, bound in cases:
-        got, peak = _traced(lambda: count_copies(host, pattern))
+        got, peak = traced(lambda: count_copies(host, pattern))
         assert got == want
         assert peak < bound, (host.leaf_count, pattern.leaf_count, peak)
 
@@ -493,7 +507,7 @@ def test_copy_listing_memory_is_bounded():
     # 20,832 caterpillar copies in P6 peak at about 1475 KiB, the same
     # under PYTHONHASHSEED 1, 2 and 3
     host, pattern = perfect_tree(6), parse_newick("((,),)")
-    copies, peak = _traced(lambda: enumerate_copies(host, pattern))
+    copies, peak = traced(lambda: enumerate_copies(host, pattern))
     assert len(copies) == 20_832
     assert peak < 2 * 2**20, peak
 
@@ -503,6 +517,6 @@ def test_arrow_edges_memory_is_bounded():
     # of 6 members peak at about 2160 KiB, the same under PYTHONHASHSEED
     # 1, 2 and 3
     host, target, pattern = perfect_tree(5), perfect_tree(2), parse_newick("(,)")
-    (variables, edges), peak = _traced(lambda: _arrow_edges(host, target, pattern))
+    (variables, edges), peak = traced(lambda: _arrow_edges(host, target, pattern))
     assert (len(variables), len(edges), {len(e) for e in edges}) == (496, 16_120, {6})
     assert peak < 3 * 2**20, peak
