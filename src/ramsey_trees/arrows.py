@@ -102,28 +102,43 @@ def _arrow_edges(
     edges), each edge once, in the order the copy stream first makes it,
     not sorted; on a query check_arrow has not settled, edges is nonempty
     and every edge has two members or more. The H-copies are charged to the
-    enumeration cap by count in check_arrow and read from the copy stream,
-    never all held. poll(0) is called every 1024 of them (not while
-    the stream builds a right-part list), and after every 1024 P-copies
-    listed, template getters built and members of one H-copy; it raises
-    when the time is up. Both listings are checked against the enumeration
-    cap before they start.
+    enumeration cap by count in check_arrow and read from the copy stream
+    in chunks of 1024, never all held. Under a template of 1 to 1024
+    members a chunk is relabeled a column at a time: per member,
+    map(index, map(getter, chunk)) in C, and the columns are zipped into
+    rows. Under any other template a chunk goes row by row, the members of
+    one H-copy in groups of 1024 joined by extending one list.
+    poll(0) is called once per chunk (not while the stream builds a
+    right-part list), after every further group of one H-copy's members,
+    and after every 1024 P-copies listed and template getters built; it
+    raises when the time is up. Both listings are checked against the
+    enumeration cap before they start.
     """
     variables = _polled_list(_capped_copies(host, pattern), poll)
     getters = _polled_list(map(_relabel, _capped_copies(target, pattern)), poll)
     head, rest = getters[:1024], [getters[i:i + 1024] for i in range(1024, len(getters), 1024)]
     var_index = {c: i for i, c in enumerate(variables)}
+    index = var_index.__getitem__
+    # zip of no columns makes no rows, where an empty template makes the
+    # edge () per H-copy
+    columns = 0 < len(getters) <= 1024
     edges: dict[tuple[int, ...], None] = {}
-    for n, hc in enumerate(_copies(host, target)):
-        if not n & 1023:
-            poll(0)
-        # relabeling through the increasing hc keeps lexicographic order, so
-        # the variable indices come out sorted
-        members = [var_index[get(hc)] for get in head]
-        for more in rest:
-            poll(0)
-            members += [var_index[get(hc)] for get in more]
-        edges[tuple(members)] = None
+    stream = _copies(host, target)
+    while chunk := list(itertools.islice(stream, 1024)):
+        poll(0)
+        # relabeling through an increasing H-copy keeps lexicographic
+        # order, so the variable indices of a row come out sorted
+        if columns:
+            rows = zip(*[map(index, map(get, chunk)) for get in head])
+        else:
+            rows = []
+            for hc in chunk:
+                members = [var_index[get(hc)] for get in head]
+                for more in rest:
+                    poll(0)
+                    members += [var_index[get(hc)] for get in more]
+                rows.append(tuple(members))
+        edges.update(dict.fromkeys(rows))
     return variables, list(edges)
 
 
@@ -678,20 +693,33 @@ def min_arrow_height_scan(
     size guard, when deciding height d would exceed the enumeration cap, or
     past max_height.
     """
+    return _height_scan(target, pattern, k, budget, max_height)[:2]
+
+
+def _height_scan(
+    target: PlaneTree,
+    pattern: PlaneTree,
+    k: int,
+    budget: SearchBudget | None,
+    max_height: int | None,
+) -> tuple[int | None, list[tuple[int, ArrowVerdict]], str | None]:
+    """min_arrow_height_scan's (d or None, scan trail), and why it stopped
+    without an answer: a line naming the unknown height, the max height
+    passed, or the height and the limit it would exceed (None with d)."""
     scan: list[tuple[int, ArrowVerdict]] = []
     d = target.height
     while max_height is None or d <= max_height:
         try:
             verdict = check_arrow(perfect_tree(d), target, pattern, k, budget)
-        except ResourceLimitError:
-            return None, scan
+        except ResourceLimitError as e:
+            return None, scan, f"height {d}: {e}"
         scan.append((d, verdict))
         if verdict.status == "holds":
-            return d, scan
+            return d, scan, None
         if verdict.status == "unknown":
-            return None, scan
+            return None, scan, f"height {d} is unknown within the budget"
         d += 1
-    return None, scan
+    return None, scan, f"no height up to the max height {max_height} arrows the target"
 
 
 def _is_iterate(t: PlaneTree, h: PlaneTree, j: int) -> bool:

@@ -151,16 +151,18 @@ def _cmd_check_arrow(args) -> int:
 
 
 def _cmd_min_height(args) -> int:
-    from .arrows import min_arrow_height_scan
+    from .arrows import _height_scan
 
     max_height = _max_height(args)
-    found, scan = min_arrow_height_scan(
+    found, scan, stop = _height_scan(
         _tree_arg(args.target),
         _tree_arg(args.pattern),
         _int_arg("k", args.k, 1),
         _budget(args),
         max_height,
     )
+    if stop is not None:
+        print(f"min-height: stopped: {stop}", file=sys.stderr)
     _emit(
         {
             "height": found,

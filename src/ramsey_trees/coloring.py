@@ -43,11 +43,14 @@ class Coloring(_Value):
     A color is an int, or an int subclass other than bool. A Coloring is not
     hashable, as its assignment is a dict.
 
-    The constructor takes a given assignment whose keys are the copies in
-    order as it is, and reorders any other in one pass over the copies. It
-    checks the colors as a set: all of type int, the least and the greatest
-    in range(k). Only when that fails does it check copy by copy, to name
-    the lexicographically first copy whose color is bad.
+    The constructor stores dict(assignment) when the assignment's keys are
+    the copies in order (its own key objects, each equal to its copy, so a
+    key may hold a bool or float equal to the copy's int; to_json_obj
+    writes each key as ints), and reorders any other in one pass over the
+    copies, keyed by them; either way the Coloring holds a dict of its own. It checks the colors as a
+    set: all of type int, the least and the greatest in range(k). Only when
+    that fails does it check copy by copy, to name the lexicographically
+    first copy whose color is bad.
     """
 
     _fields = ("host", "pattern", "k", "assignment")
@@ -59,7 +62,7 @@ class Coloring(_Value):
         copies = enumerate_copies(host, pattern)
         given = assignment
         if list(given) == copies:
-            ordered = dict(zip(copies, given.values()))
+            ordered = dict(given)
         else:
             try:
                 ordered = {c: given[c] for c in copies}
@@ -104,7 +107,7 @@ class Coloring(_Value):
             "pattern": to_newick(self.pattern),
             "k": self.k,
             "assignment": [
-                {"copy": list(c), "color": col} for c, col in self.assignment.items()
+                {"copy": list(map(int, c)), "color": col} for c, col in self.assignment.items()
             ],
         }
 

@@ -10,6 +10,7 @@ call's tracemalloc peak.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os.path
 import tracemalloc
@@ -76,16 +77,16 @@ def mirror(t: PlaneTree) -> PlaneTree:
 def traced(call):
     """(call(), the peak bytes tracemalloc saw allocated during it).
 
-    A tuple reused from CPython's free lists was allocated before tracing
-    began and is not counted, so a peak would depend on the tests run
-    before; tuples of up to 3 items, held while call runs, empty those
-    lists.
+    An object reused from CPython's free lists was allocated before tracing
+    began and is not counted, and a full collection (which call may or may
+    not trigger) empties those lists, so a peak would depend on the tests
+    run before. A full collection before tracing empties them and resets
+    the collector's counts, so every object call makes is counted.
     """
-    held = [tuple(range(i, i + n)) for n in (1, 2, 3) for i in range(4096)]
+    gc.collect()
     tracemalloc.start()
     try:
         out = call()
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        del held

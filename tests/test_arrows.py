@@ -47,7 +47,7 @@ from ramsey_trees import (
 import ramsey_trees
 from ramsey_trees import arrows
 from ramsey_trees.arrows import _arrow_edges
-from ramsey_trees.coloring import _least_agreeing
+from ramsey_trees.coloring import _least_agreeing, _relabel
 from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled, mirror, traced
 
 CHERRY = parse_newick("(,)")
@@ -250,6 +250,48 @@ def test_arrow_edges_match_subset_oracle():
                     assert got[0] == variables, (host, target, pattern)
                     assert len(got[1]) == len(edges), (host, target, pattern)
                     assert sorted(got[1]) == edges, (host, target, pattern)
+
+
+def _row_edges(host, target, pattern):
+    """The constraints of host -> (target)^pattern built one H-copy at a
+    time, a row per H-copy: the reference for _arrow_edges, which builds
+    them a column of a chunk of H-copies at a time."""
+    variables = enumerate_copies(host, pattern)
+    index = {c: i for i, c in enumerate(variables)}
+    getters = [_relabel(c) for c in enumerate_copies(target, pattern)]
+    edges = {}
+    for hc in enumerate_copies(host, target):
+        edges[tuple(index[get(hc)] for get in getters)] = None
+    return variables, list(edges)
+
+
+def test_arrow_edges_match_the_row_wise_reference():
+    # The same edges in the same order on each side of every boundary of
+    # the chunks: 16 chunks of up to 1024 H-copies, one chunk exactly full
+    # and then a last chunk of one H-copy, one H-copy of 496 members in
+    # 496 columns, one of 2,016 members in two getter groups, and a
+    # template with no pattern copy, whose one edge is empty. poll(0) comes after every 1024 P-copies and template
+    # copies listed, once per chunk and once per further group of one
+    # H-copy.
+    p10 = perfect_tree(10)
+    queries = [
+        (perfect_tree(5), perfect_tree(2), CHERRY, 16_120),
+        (p10, leaf(), leaf(), 1024),
+        (node(p10, leaf()), leaf(), leaf(), 1025),
+        (perfect_tree(5), perfect_tree(5), CHERRY, 1),
+        (perfect_tree(6), perfect_tree(6), CHERRY, 1),
+        (perfect_tree(3), CHERRY, CAT3, 28),
+    ]
+    for host, target, pattern, h_copies in queries:
+        assert count_copies(host, target) == h_copies
+        polls = []
+        got = _arrow_edges(host, target, pattern, polls.append)
+        assert got == _row_edges(host, target, pattern), (host, target, pattern)
+        m = count_copies(target, pattern)
+        groups = -(-m // 1024)
+        assert len(polls) == (len(got[0]) // 1024 + m // 1024 + -(-h_copies // 1024)
+                              + h_copies * max(groups - 1, 0)), (host, target, pattern)
+    assert got[1] == [()]
 
 
 def test_check_arrow_budget_covers_construction():
@@ -848,11 +890,16 @@ def test_search_rechecks_its_witness(monkeypatch):
 def test_search_lookup_memory_is_bounded_by_the_constraints():
     # The per-depth lookups stop storing once their allowance, linear in the
     # edges and variables, is spent (by about 10k nodes here), so a search 40
-    # times longer peaks within a quarter of the short one's peak: about 248
-    # KB against 223 KB. With no allowance cap the long one peaked at 322 KB.
+    # times longer peaks within a quarter of the short one's peak: about
+    # 240 KB against 215 KB. With no allowance cap the long one
+    # peaks at 314 KB. Only the search is traced, not the construction
+    # of its constraints.
+    variables, edges = _arrow_edges(perfect_tree(4), perfect_tree(2), CHERRY)
+
     def peak(max_nodes):
-        got, used = traced(lambda: _backtracker(perfect_tree(4), perfect_tree(2), CHERRY, 2, max_nodes))
-        assert got == ("unknown", max_nodes)
+        search = arrows._backtrack(edges, len(variables), 2, max_nodes, lambda nodes: None)
+        got, used = traced(lambda: next(search))
+        assert got == max_nodes
         return used
 
     peak(1)  # first-call allocations of the modules it uses
@@ -1227,7 +1274,7 @@ def test_extract_mono_k_on_the_eight_color_chain():
 
 
 def test_eight_color_first_bit_round_memory_is_bounded():
-    # peaks of 9-15 KB: one list of five shapes per vertex on the stack
+    # peaks of 13-15 KB: one list of five shapes per vertex on the stack
     chain = build_reduction_chain(CHERRY, leaf(), 8)
     top, below = chain.trees[-1], chain.trees[-2]
     for colors, chi in _seeded_leaf_colorings(top, 8, range(4)):

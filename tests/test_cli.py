@@ -19,10 +19,12 @@ from ramsey_trees import (
     parse_newick,
     perfect_tree,
     set_max_enumeration,
+    set_max_leaves,
     to_newick,
 )
 from ramsey_trees import cli, selftest
 from ramsey_trees.cli import _budget, build_parser, main
+from ramsey_trees.limits import DEFAULT_MAX_ENUMERATION
 from helpers import check_witness, labeled
 
 CAT3 = "((,),)"
@@ -257,6 +259,35 @@ def test_enumeration_cap_mid_scan_is_resource_exit(capsys):
     rc, out, err = run(capsys, "chain", CAT3, "(,)", "2")
     assert rc == 2 and out == ""
     assert "could not certify chain link 1" in err
+
+
+def test_min_height_says_why_a_scan_stopped(capsys):
+    # A scan with no height writes one stderr line with the reason the scan
+    # gives; stdout and the exit code stay those of the trail.
+    def stopped(*argv):
+        rc, out, err = run(capsys, "min-height", *argv)
+        assert rc == 2
+        obj = json.loads(out)
+        assert obj["height"] is None
+        return [(e["height"], e["verdict"]) for e in obj["scan"]], err
+
+    assert stopped("(,)", "", "2", "--budget-nodes", "0") == (
+        [(1, "unknown")], "min-height: stopped: height 1 is unknown within the budget\n")
+    assert stopped(CAT3, "(,)", "2", "--max-height", "3") == (
+        [(2, "fails"), (3, "fails")],
+        "min-height: stopped: no height up to the max height 3 arrows the target\n")
+    assert stopped(CAT3, "(,)", "2", "--max-height", "1") == (
+        [], "min-height: stopped: no height up to the max height 1 arrows the target\n")
+    # a scan that finds its height writes nothing to stderr
+    assert run(capsys, "min-height", "(,)", "", "2")[::2] == (0, "")
+    set_max_enumeration(100)  # height 4 has more copies than that
+    assert stopped(CAT3, "(,)", "2") == ([(2, "fails"), (3, "fails")], (
+        "min-height: stopped: height 4: enumeration would produce 280 items,"
+        " over the configured limit 100\n"))
+    set_max_enumeration(DEFAULT_MAX_ENUMERATION)
+    set_max_leaves(8)  # perfect_tree(4) has 16 leaves
+    assert stopped(CAT3, "(,)", "2") == ([(2, "fails"), (3, "fails")], (
+        "min-height: stopped: height 4: tree would have 16 leaves, over the configured limit 8\n"))
 
 
 def test_leaf_pattern_scans_enumerate_no_copies(capsys):

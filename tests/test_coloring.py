@@ -120,6 +120,52 @@ def test_assignment_is_canonically_ordered():
     assert chi == Coloring(t2, CHERRY, 2, dict(scrambled))
 
 
+def test_in_order_assignment_is_copied():
+    # An assignment already in copy order is stored as a copy of the
+    # caller's dict, in that order; any other is reordered. Both paths keep
+    # the checks and their messages.
+    host = perfect_tree(3)
+    copies = enumerate_copies(host, CHERRY)
+    given = {c: i % 2 for i, c in enumerate(copies)}
+    chi = Coloring(host, CHERRY, 2, given)
+    assert chi.assignment == given and chi.assignment is not given
+    assert list(chi.assignment) == copies
+    given[copies[0]] = 1
+    del given[copies[-1]]
+    assert list(chi.assignment.values()) == [i % 2 for i in range(len(copies))]
+    backwards = dict(reversed(chi.assignment.items()))
+    assert list(Coloring(host, CHERRY, 2, backwards).assignment.items()) == list(
+        chi.assignment.items())
+    for assignment in (chi.assignment, backwards):
+        bad = dict(assignment)
+        bad[(2, 5)] = 2
+        with pytest.raises(ValueError) as info:
+            Coloring(host, CHERRY, 2, bad)
+        assert str(info.value) == "color of copy [2, 5] must be in [0, 2), got 2"
+    short = dict(chi.assignment)
+    del short[copies[-1]]
+    long = dict(chi.assignment)
+    long[(6, 8)] = 0
+    for assignment, message in ((short, "missing copies [(6, 7)]"),
+                                (long, "unknown copies [(6, 8)]")):
+        with pytest.raises(ValueError) as info:
+            Coloring(host, CHERRY, 2, assignment)
+        assert str(info.value) == "assignment must cover every copy exactly once: " + message
+
+
+def test_equal_keys_of_other_types_round_trip():
+    # Keys equal to the copies in order are kept as given, bools and floats
+    # included; the JSON form writes them as the copies' ints, so it reads
+    # back.
+    for host, pattern, keys in ((perfect_tree(1), leaf(), [(False,), (True,)]),
+                                (perfect_tree(1), CHERRY, [(0.0, 1.0)])):
+        copies = enumerate_copies(host, pattern)
+        chi = Coloring(host, pattern, 2, dict.fromkeys(keys, 1))
+        text = json.dumps(chi.to_json_obj())
+        assert text == json.dumps(Coloring(host, pattern, 2, dict.fromkeys(copies, 1)).to_json_obj())
+        assert Coloring.from_json_obj(json.loads(text)) == chi
+
+
 def test_from_leaf_colors():
     chi = leafchi([0, 1, 0, 1])
     assert chi.pattern == leaf()

@@ -323,7 +323,7 @@ def test_stream_charges_a_list_before_building_it():
     peak = refused(parse_newick("(,((,),))"), "5722433536 items")
     assert peak < 32_000, peak
     # The same for a right comb: its first list holds the 5,739,202,560
-    # copies of (,(,)) in (P1, P12). Both peaks are about 4 KB.
+    # copies of (,(,)) in (P1, P12). Both peaks are about 7 KB.
     peak = refused(parse_newick("(,(,(,)))"), "5739202560 items")
     assert peak < 144_000, peak
 
@@ -392,7 +392,7 @@ def _mirror(t):
 def test_last_level_cherries_are_generated_not_listed(walks):
     # Every leaf pair of a subtree is a cherry, so a stream whose last part
     # is a cherry holds no list of them: P2 in P6 and (,(,)) in P7 peak at
-    # about 10 KB and 7 KB, where listing and shifting the cherries of each
+    # about 13 KB and 9 KB, where listing and shifting the cherries of each
     # right child took about 95 KB and 355 KB.
     for host, text, want in ((perfect_tree(6), "((,),(,))", 278_256),
                              (perfect_tree(7), "(,(,))", 170_688)):
@@ -504,7 +504,7 @@ def test_count_memory_is_bounded():
 
 
 def test_copy_listing_memory_is_bounded():
-    # 20,832 caterpillar copies in P6 peak at about 1475 KiB, the same
+    # 20,832 caterpillar copies in P6 peak at about 1479 KiB, the same
     # under PYTHONHASHSEED 1, 2 and 3
     host, pattern = perfect_tree(6), parse_newick("((,),)")
     copies, peak = traced(lambda: enumerate_copies(host, pattern))
@@ -514,7 +514,7 @@ def test_copy_listing_memory_is_bounded():
 
 def test_arrow_edges_memory_is_bounded():
     # The constraints of P5 -> (P2)^cherry: 496 variables and 16,120 edges
-    # of 6 members peak at about 2160 KiB, the same under PYTHONHASHSEED
+    # of 6 members peak at about 2304 KiB, the same under PYTHONHASHSEED
     # 1, 2 and 3
     host, target, pattern = perfect_tree(5), perfect_tree(2), parse_newick("(,)")
     (variables, edges), peak = traced(lambda: _arrow_edges(host, target, pattern))

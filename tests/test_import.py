@@ -72,6 +72,52 @@ def test_every_file_parses_at_the_declared_python_floor():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
+# Standard-library names that parse at Python 3.10 but do not exist there.
+NEWER_THAN_FLOOR = {
+    ("operator", "call"),
+    ("itertools", "batched"),
+    ("tomllib", None),
+    ("typing", "Self"),
+    ("enum", "StrEnum"),
+    ("math", "sumprod"),
+}
+
+
+def _module_names(source):
+    """(module, None) for each module that source imports, and (module,
+    name) for each `from module import name` and each attribute read
+    `alias.name` of an `import module [as alias]`."""
+    tree = ast.parse(source)
+    aliases = {}
+    used = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                used.add((a.name, None))
+                aliases[a.asname or a.name] = a.name
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            used.add((n.module, None))
+            used |= {(n.module, a.name) for a in n.names}
+    used |= {
+        (aliases[n.value.id], n.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases
+    }
+    return used
+
+
+def test_no_module_uses_a_stdlib_name_newer_than_the_floor():
+    # The grammar check above passes these names, which fail only when a
+    # 3.10 interpreter runs the line. The package and the demos use none.
+    probe = "import itertools as it\nfrom operator import call\nimport tomllib\nit.batched(x, 2)\n"
+    assert _module_names(probe) & NEWER_THAN_FLOOR == {
+        ("itertools", "batched"), ("operator", "call"), ("tomllib", None)}
+    files = PACKAGE_FILES + sorted((SRC.parent / "demos").glob("*.py"))
+    assert len(files) > 12
+    for path in files:
+        assert not _module_names(path.read_text(encoding="utf-8")) & NEWER_THAN_FLOOR, path
+
+
 def test_no_package_module_imports_dataclasses():
     # dataclasses imports inspect, ast, dis and tokenize, in every CLI
     # process that loads the module that imports it.
