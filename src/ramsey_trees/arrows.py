@@ -18,20 +18,19 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from collections.abc import Callable, Generator, Iterable
+from collections.abc import Callable, Generator, Iterable, Iterator
 
 from .errors import BudgetExhaustedError, FormatError, ResourceLimitError
 from .tree import PlaneTree, _postorder, iso, parse_newick, perfect_tree, to_newick
 from .embedding import (
     CopyRef,
     _capped_copies,
-    _copies,
     _split_plan,
     count_copies,
     induced_subtree,
     is_copy,
 )
-from .limits import _Value, _require_int, check_enumeration
+from .limits import _Value, _require_int
 from .coloring import Coloring, _least_agreeing, _relabel, is_mono
 
 
@@ -42,11 +41,13 @@ class SearchBudget(_Value):
     On the constraint path a node is one color tried by the backtracker or
     one flip of the local search, in one count; for a single-leaf pattern
     it is one state of the dynamic program. Every engine polls the time
-    at least every 1024 nodes, and the local search at every flip; the
-    constraint path also polls after every 1024 edges of each pass over
-    them: the backtracker's degree count and index build, the local
-    search's setup and the final re-check of a bad coloring, and after
-    every 1024 watch entries that the backtracker's lookups scan."""
+    at least every 1024 nodes, and the local search at every flip. The
+    constraint path also polls once per 1024 H-copies, after every 1024
+    watch entries that the backtracker's lookups scan, and through _polled
+    in every pass over a list: the P-copy and template listings, the
+    members of one H-copy under a template of more than 1024, the
+    backtracker's degree count and index build, the local search's setup
+    and the final re-check of a bad coloring."""
 
     _fields = ("max_nodes", "max_millis")
 
@@ -95,62 +96,55 @@ def _arrow_edges(
 ) -> tuple[list[CopyRef], list[tuple[int, ...]]]:
     """Variables (P-copies) and NAE constraints (inner P-copies per H-copy).
 
-    Every H-copy induces a tree isomorphic to target, so its inner P-copies
-    are the copies of pattern in target relabeled through the H-copy's
-    leaves; that template is enumerated once and turned into one _relabel
-    getter per copy, which each H-copy goes through. Returns (variables,
-    edges), each edge once, in the order the copy stream first makes it,
-    not sorted; on a query check_arrow has not settled, edges is nonempty
-    and every edge has two members or more. The H-copies are charged to the
-    enumeration cap by count in check_arrow and read from the copy stream
-    in chunks of 1024, never all held. Under a template of 1 to 1024
-    members a chunk is relabeled a column at a time: per member,
+    target must hold a copy of pattern. Every H-copy induces a tree
+    isomorphic to target, so its inner P-copies are the copies of pattern
+    in target relabeled through the H-copy's leaves; that template is
+    enumerated once and turned into one _relabel getter per copy, which
+    each H-copy goes through. Returns (variables, edges), each edge once,
+    in the order the copy stream first makes it, not sorted; on a query
+    check_arrow has not settled, edges is nonempty and every edge has two
+    members or more. The H-copies, the P-copies and the template are each
+    checked against the enumeration cap, in that order, before they are
+    read. The H-copies are read from the copy stream in chunks of 1024,
+    never all held, with poll(0) once per chunk (not while the stream
+    builds a right-part list). Under a template of at most 1024 members a
+    chunk is relabeled a column at a time: per member,
     map(index, map(getter, chunk)) in C, and the columns are zipped into
-    rows. Under any other template a chunk goes row by row, the members of
-    one H-copy in groups of 1024 joined by extending one list.
-    poll(0) is called once per chunk (not while the stream builds a
-    right-part list), after every further group of one H-copy's members,
-    and after every 1024 P-copies listed and template getters built; it
-    raises when the time is up. Both listings are checked against the
-    enumeration cap before they start.
+    rows. Under a larger one it goes row by row. The P-copy and getter
+    listings, and the members of one H-copy in a row, are read through
+    _polled.
     """
-    variables = _polled_list(_capped_copies(host, pattern), poll)
-    getters = _polled_list(map(_relabel, _capped_copies(target, pattern)), poll)
-    head, rest = getters[:1024], [getters[i:i + 1024] for i in range(1024, len(getters), 1024)]
-    var_index = {c: i for i, c in enumerate(variables)}
-    index = var_index.__getitem__
-    # zip of no columns makes no rows, where an empty template makes the
-    # edge () per H-copy
-    columns = 0 < len(getters) <= 1024
+    stream = _capped_copies(host, target)
+    variables = list(_polled(_capped_copies(host, pattern), poll))
+    getters = list(_polled(map(_relabel, _capped_copies(target, pattern)), poll))
+    index = {c: i for i, c in enumerate(variables)}.__getitem__
     edges: dict[tuple[int, ...], None] = {}
-    stream = _copies(host, target)
     while chunk := list(itertools.islice(stream, 1024)):
         poll(0)
         # relabeling through an increasing H-copy keeps lexicographic
         # order, so the variable indices of a row come out sorted
-        if columns:
-            rows = zip(*[map(index, map(get, chunk)) for get in head])
+        if len(getters) <= 1024:
+            rows = zip(*[map(index, map(get, chunk)) for get in getters])
         else:
-            rows = []
-            for hc in chunk:
-                members = [var_index[get(hc)] for get in head]
-                for more in rest:
-                    poll(0)
-                    members += [var_index[get(hc)] for get in more]
-                rows.append(tuple(members))
+            rows = [tuple([index(get(hc)) for get in _polled(getters, poll)]) for hc in chunk]
         edges.update(dict.fromkeys(rows))
     return variables, list(edges)
 
 
-def _polled_list(items: Iterable, poll: Callable[[int], None]) -> list:
-    """list(items), calling poll(0) after every 1024 of them."""
-    out: list = []
-    while True:
-        n = len(out)
-        out += itertools.islice(items, 1024)
-        if len(out) - n < 1024:
-            return out
-        poll(0)
+def _polled(items: Iterable, poll: Callable[[int], None], nodes: int = 0) -> Iterator:
+    """items, read 1024 at a time, with poll(nodes) called after every full
+    1024 of them: the one way the constraint path polls a pass over a
+    list. The items are chained back at C speed."""
+    items = iter(items)
+
+    def chunks():
+        while chunk := list(itertools.islice(items, 1024)):
+            yield chunk
+            if len(chunk) < 1024:
+                return
+            poll(nodes)
+
+    return itertools.chain.from_iterable(chunks())
 
 
 def check_arrow(
@@ -166,11 +160,11 @@ def check_arrow(
     target fails (the witness gives every P-copy color 0), and a target
     with at most one copy of pattern holds, with no copy listed. Any other
     query goes to an engine. A single-leaf pattern goes to a dynamic
-    program over host subtrees (_leaf_arrow). Any other pattern has its
-    H-copies, counted once here, charged to the enumeration cap; its NAE
-    instance is built once (_arrow_edges) and searched by _search_arrow: a
-    short backtracking probe, a local search that can only find a bad
-    coloring, then the backtracker for the rest of the budget. Every
+    program over host subtrees (_leaf_arrow). Any other pattern has its NAE
+    instance built once (_arrow_edges, which caps the H-copies along with
+    its other two listings) and searched by _search_arrow: a short
+    backtracking probe, a local search that can only find a bad coloring,
+    then the backtracker for the rest of the budget. Every
     engine is deterministic, re-verifies every bad coloring it returns, and
     returns (its assignment, or None if the arrow holds, and nodes). The
     budget covers the whole query: an engine raises _OutOfBudget(nodes) at
@@ -199,7 +193,6 @@ def check_arrow(
             if pattern.is_leaf:
                 assignment, nodes = _leaf_arrow(host, target, pattern, k, budget.max_nodes, poll)
             else:
-                check_enumeration(h_copies)
                 variables, edges = _arrow_edges(host, target, pattern, poll)
                 assignment, nodes = _search_arrow(variables, edges, k, budget.max_nodes, poll)
             status = "holds" if assignment is None else "fails"
@@ -217,12 +210,10 @@ def _nae_check(
 ) -> None:
     """Raise RuntimeError unless colors, one per variable, leave no edge
     monochromatic: a bad coloring by definition, checked under python -O
-    too. poll(nodes) is called after every 1024 edges."""
-    for j, e in enumerate(edges):
+    too. The edges are read through _polled(edges, poll, nodes)."""
+    for e in _polled(edges, poll, nodes):
         if len({colors[v] for v in e}) <= 1:
             raise RuntimeError(f"internal error: bad coloring leaves edge {e} monochromatic")
-        if j & 1023 == 1023:
-            poll(nodes)
 
 
 def _search_arrow(
@@ -245,9 +236,9 @@ def _search_arrow(
     coloring of either engine passes _nae_check before it is returned.
     poll is called with 0 before the search starts, then every 1024
     backtracker nodes and at every flip, and with the node count so far
-    after every 1024 edges of each pass over the edges and every 1024 watch
-    entries the backtracker's lookups scan. A budget of 0 nodes stops
-    before the backtracker builds its index.
+    after every 1024 watch entries the backtracker's lookups scan; every
+    pass over the edges reads them through _polled. A budget of 0 nodes
+    stops before the backtracker builds its index.
     """
     poll(0)
     if max_nodes == 0:
@@ -291,10 +282,10 @@ def _backtrack(
     (descending constraint degree, ties by index), colors in increasing
     order, and the first variable is pinned to color 0 (sound by
     color-permutation symmetry). The bad coloring is the first that order
-    encounters; a node is one color tried for one variable. poll is called
-    with 0 after every 1024 edges of the degree count and of the index
-    build, then every 1024 nodes, and with the node count once the lookups
-    below have scanned 1024 more watch entries.
+    encounters; a node is one color tried for one variable. The degree
+    count and the index build read the edges through _polled; then poll is
+    called every 1024 nodes, and with the node count once the lookups below
+    have scanned 1024 more watch entries.
 
     The order is static. The search names each variable by its depth d in
     it, so when d gets a color the assigned variables are exactly 0..d. A
@@ -326,11 +317,7 @@ def _backtrack(
     bitmask of the variables holding it, and the untried colors are a list
     indexed by depth.
     """
-    degree, rest = Counter(), iter(edges)
-    for _ in range(len(edges) >> 10):
-        degree.update(itertools.chain.from_iterable(itertools.islice(rest, 1024)))
-        poll(0)
-    degree.update(itertools.chain.from_iterable(rest))
+    degree = Counter(itertools.chain.from_iterable(_polled(edges, poll)))
     order = sorted(range(m), key=lambda v: (-degree[v], v))
     # From here on a variable is named by its depth d in the order.
     depth = [0] * m  # depth[v]: variable v's depth
@@ -340,7 +327,7 @@ def _backtrack(
     # whose second-to-last member is d; rel[d]: the OR of those masks
     watch: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     rel = [0] * m
-    for j, e in enumerate(edges):
+    for e in _polled(edges, poll):
         mask = 0
         for v in e:
             mask |= 1 << depth[v]
@@ -350,8 +337,6 @@ def _backtrack(
         mask ^= 1 << second
         watch[second].append((mask, last))
         rel[second] |= mask
-        if j & 1023 == 1023:
-            poll(0)
     # losers[d]: key -> the distinct watched last members that lose the color
     losers: list[dict[int, list[int]]] = [{} for _ in range(m)]
     room = _LOOKUP_ALLOWANCE * (len(edges) + m)
@@ -456,10 +441,10 @@ def _local_search(
     breaks. It stops without an answer rather than take a node past limit,
     so it never tells that the arrow holds. It keeps, per color and edge,
     the count of the edge's members of that color, and the monochromatic
-    edges in a list with each one's position in it. poll is called with
-    nodes after every 1024 edges of that setup, then at every node: a flip
-    reads all edges of the picked edge's members, so it costs far more than
-    a node of the backtracker.
+    edges in a list with each one's position in it. That setup reads the
+    edges through _polled(edges, poll, nodes); then poll is called at every
+    node: a flip reads all edges of the picked edge's members, so it costs
+    far more than a node of the backtracker.
     """
     state = _SEED
 
@@ -479,12 +464,10 @@ def _local_search(
     # count[b][j]: the members of edge j with color b; occ[v]: v's edges
     count = [[0] * len(edges) for _ in range(k)]
     occ: list[list[int]] = [[] for _ in range(m)]
-    for j, e in enumerate(edges):
+    for j, e in enumerate(_polled(edges, poll, nodes)):
         for v in e:
             count[colors[v]][j] += 1
             occ[v].append(j)
-        if j & 1023 == 1023:
-            poll(nodes)
     # the monochromatic edges, and where[j], edge j's position among them
     mono = [j for j, e in enumerate(edges) if count[colors[e[0]]][j] == r]
     where = [0] * len(edges)
@@ -706,6 +689,8 @@ def _height_scan(
     """min_arrow_height_scan's (d or None, scan trail), and why it stopped
     without an answer: a line naming the unknown height, the max height
     passed, or the height and the limit it would exceed (None with d)."""
+    if max_height is not None:
+        _require_int("max height", max_height, 0)
     scan: list[tuple[int, ArrowVerdict]] = []
     d = target.height
     while max_height is None or d <= max_height:
@@ -880,6 +865,8 @@ def build_reduction_chain(
     """Grow the chain upward: each next tree is the least-height perfect tree
     that arrows the previous one with two colors."""
     _require_int("number of colors", k)
+    if max_height is not None:
+        _require_int("max height", max_height, 0)
     trees = [h]
     certs = []
     for i in range((k - 1).bit_length()):

@@ -46,7 +46,7 @@ from ramsey_trees import (
 )
 import ramsey_trees
 from ramsey_trees import arrows
-from ramsey_trees.arrows import _arrow_edges
+from ramsey_trees.arrows import _arrow_edges, _polled
 from ramsey_trees.coloring import _least_agreeing, _relabel
 from helpers import brute_arrow_edges, brute_arrow_status, check_witness, labeled, mirror, traced
 
@@ -269,10 +269,11 @@ def test_arrow_edges_match_the_row_wise_reference():
     # The same edges in the same order on each side of every boundary of
     # the chunks: 16 chunks of up to 1024 H-copies, one chunk exactly full
     # and then a last chunk of one H-copy, one H-copy of 496 members in
-    # 496 columns, one of 2,016 members in two getter groups, and a
-    # template with no pattern copy, whose one edge is empty. poll(0) comes after every 1024 P-copies and template
-    # copies listed, once per chunk and once per further group of one
-    # H-copy.
+    # 496 columns, one of 2,016 members read in two groups, and one of
+    # exactly 2,048 members in two full groups. poll(0) comes after every
+    # 1024 P-copies and template copies listed, once per chunk, and after
+    # every full 1024 members of one H-copy of a template of more than
+    # 1024.
     p10 = perfect_tree(10)
     queries = [
         (perfect_tree(5), perfect_tree(2), CHERRY, 16_120),
@@ -280,7 +281,7 @@ def test_arrow_edges_match_the_row_wise_reference():
         (node(p10, leaf()), leaf(), leaf(), 1025),
         (perfect_tree(5), perfect_tree(5), CHERRY, 1),
         (perfect_tree(6), perfect_tree(6), CHERRY, 1),
-        (perfect_tree(3), CHERRY, CAT3, 28),
+        (perfect_tree(11), perfect_tree(11), leaf(), 1),
     ]
     for host, target, pattern, h_copies in queries:
         assert count_copies(host, target) == h_copies
@@ -288,10 +289,20 @@ def test_arrow_edges_match_the_row_wise_reference():
         got = _arrow_edges(host, target, pattern, polls.append)
         assert got == _row_edges(host, target, pattern), (host, target, pattern)
         m = count_copies(target, pattern)
-        groups = -(-m // 1024)
         assert len(polls) == (len(got[0]) // 1024 + m // 1024 + -(-h_copies // 1024)
-                              + h_copies * max(groups - 1, 0)), (host, target, pattern)
-    assert got[1] == [()]
+                              + h_copies * (m // 1024 if m > 1024 else 0)), (host, target, pattern)
+
+
+def test_polled_polls_after_every_full_1024_items():
+    for n, expected in [(0, 0), (1, 0), (1023, 0), (1024, 1), (1025, 1), (2048, 2)]:
+        polls = []
+        items = [(i,) for i in range(n)]
+        assert list(_polled(iter(items), polls.append, 7)) == items
+        assert polls == [7] * expected, n
+    # the source is read at most 1024 items ahead of the consumer
+    polls = []
+    assert next(_polled(itertools.count(), polls.append)) == 0
+    assert polls == []
 
 
 def test_check_arrow_budget_covers_construction():
@@ -819,10 +830,11 @@ def test_every_poll_site_stops_the_engines():
             for n in ast.walk(ast.parse(fh.read()))
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "poll"
         }
-    # 16 sites: the construction's poll per 1024 H-copies and per 1024
-    # members of one H-copy, _polled_list's (P-copies and template getters)
-    # and the engines' 13
-    assert len(sites) == 16
+    # 11 sites: the construction's poll per chunk of 1024 H-copies,
+    # _polled's (every pass over a list), _search_arrow's poll(0),
+    # _backtrack's node poll and watch-scan poll, the local search's poll
+    # per flip, and _leaf_arrow's five
+    assert len(sites) == 11
     assert reached == sites
 
 
@@ -1025,6 +1037,15 @@ def test_min_arrow_height_stops_at_max_height():
     d, scan = min_arrow_height_scan(CHERRY, leaf(), 2, max_height=1)
     assert d is None
     assert [(h, v.status) for h, v in scan] == [(1, "fails")]
+
+
+def test_max_height_must_be_a_non_negative_integer():
+    for bad in (True, 2.5, "3", -1):
+        with pytest.raises(ValueError, match="max height"):
+            min_arrow_height_scan(CHERRY, leaf(), 2, None, bad)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="max height"):
+                build_reduction_chain(CHERRY, leaf(), k, None, bad)
 
 
 def test_min_arrow_height_stops_on_unknown():
